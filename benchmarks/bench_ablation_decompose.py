@@ -12,7 +12,7 @@ compound target).
 import pytest
 
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches, decompose
+from repro.mapping import clear_shared_caches, decompose
 from repro.platform import OperationTally
 from repro.symalg import Polynomial, symbols
 from repro.symalg.gcdtools import clear_gcd_caches
@@ -22,9 +22,9 @@ x, y, z = symbols("x y z")
 
 
 def _go_cold() -> None:
-    """Drop every result-level cache so each measured run searches for
-    real (the warm-cache story belongs to bench_table2, not here)."""
-    clear_mapping_caches()
+    """Drop every shared memo so each measured run searches from cold
+    (the warm-cache story belongs to bench_table2, not here)."""
+    clear_shared_caches()
     clear_ideal_caches()
     clear_gcd_caches()
 

@@ -84,11 +84,12 @@ def run_scenario(workers: int) -> dict:
     """Execute the work set once in this process; return measurements."""
     from dataclasses import asdict
 
-    from repro.mapping import run_batch
+    from repro.api import MappingSession
 
+    session = MappingSession()      # REPRO_CACHE_DIR / REPRO_NO_CACHE
     items = work_items()
     start = time.perf_counter()
-    report = run_batch(items, workers=workers)
+    report = session.batch(items, workers=workers)
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "items": len(items),
             **asdict(report.stats)}

@@ -19,9 +19,9 @@ throughput).
 
 import json
 import time
-import warnings
 from pathlib import Path
 
+from repro.api import MappingSession, SessionConfig
 from repro.codegen.fixedpt import element_formats, interpret
 from repro.codegen.lower import lower_match
 from repro.codegen.pysource import compile_kernel
@@ -39,12 +39,8 @@ PASSES = 40
 
 
 def _winner(block, library, platform):
-    from repro.mapping import map_block
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        winner, _matches = map_block(block, library, platform)
-    return winner
+    session = MappingSession(SessionConfig(disk_cache=False))
+    return session.map(block, library, platform).winner
 
 
 def _throughput(block, match):

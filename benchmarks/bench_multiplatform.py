@@ -42,11 +42,11 @@ def run_scenario(workers: int) -> dict:
     """Execute the sweep once in this process; return measurements."""
     from dataclasses import asdict
 
-    from repro.mapping import MethodologyFlow
+    from repro.api import MappingSession
 
-    flow = MethodologyFlow(workers=workers)
+    flow = MappingSession().flow()  # REPRO_CACHE_DIR / REPRO_NO_CACHE
     start = time.perf_counter()
-    report = flow.sweep()
+    report = flow.sweep(workers=workers)
     elapsed = time.perf_counter() - start
     rendered = report.to_json()
     return {

@@ -33,7 +33,7 @@ import time
 from _scenarios import REPO_ROOT
 
 from repro.service import FleetSupervisor, ServiceClient
-from repro.service.protocol import canonical_json
+from repro.api import canonical_json
 
 OUTPUT = REPO_ROOT / "BENCH_service_scale.json"
 

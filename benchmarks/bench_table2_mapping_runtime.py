@@ -8,8 +8,8 @@ orders of magnitude under the paper's minutes on a modern laptop.
 """
 
 from paper_data import FASTER_THAN_REALTIME_MIN  # noqa: F401  (module smoke)
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement, full_library
-from repro.mapping import decompose, map_block
 from repro.mapping.flow import _imdct_block
 from repro.platform import OperationTally
 from repro.symalg import Polynomial, symbols
@@ -29,7 +29,8 @@ def test_table2_decompose_runtime(benchmark, platform, report):
     target = x + x ** 3 * y ** 2 - 2 * x * y ** 3
     lib = _demo_library()
 
-    result = benchmark(decompose, target, lib, platform)
+    session = MappingSession(SessionConfig(disk_cache=False))
+    result = benchmark(session.decompose, target, lib, platform)
     assert result.mapped
     assert result.best.element_names() == ["sq2y"]
     report(f"\nTable 2 — Decompose on the paper's example: "
@@ -41,7 +42,8 @@ def test_table2_block_mapping_runtime(benchmark, platform, report):
     block = _imdct_block()
     library = full_library()
 
-    winner, matches = benchmark(map_block, block, library, platform)
-    assert winner.element.name == "IppsMDCTInv_MP3_32s"
-    report(f"\nTable 2 — Equation-1 block mapped to {winner.element.name} "
-           f"out of {len(matches)} matching elements")
+    session = MappingSession(SessionConfig(disk_cache=False))
+    result = benchmark(session.map, block, library, platform)
+    assert result.winner_name == "IppsMDCTInv_MP3_32s"
+    report(f"\nTable 2 — Equation-1 block mapped to {result.winner_name} "
+           f"out of {len(result.matches)} matching elements")

@@ -3,8 +3,9 @@
 Environment knobs (so cold numbers are reproducible without editing
 code):
 
-* ``REPRO_NO_CACHE=1`` — disable the persistent disk tier *and* clear
-  every in-process cache (mapping LRUs, Groebner bases, GCDs) before
+* ``REPRO_NO_CACHE=1`` — disable the persistent disk tier of every
+  session built from the environment *and* clear the shared in-process
+  memos (instantiations, manipulations, Groebner bases, GCDs) before
   each benchmark test: every measurement starts truly cold.
 * ``REPRO_CACHE_DIR=<dir>`` — point the persistent tier at ``<dir>``
   to measure warm-process behaviour instead.
@@ -14,7 +15,7 @@ import os
 
 import pytest
 
-from repro.mapping.cache import DEFAULT_TIERS, clear_mapping_caches
+from repro.mapping.cache import clear_shared_caches
 from repro.mp3 import make_stream
 from repro.platform import Badge4
 from repro.symalg.gcdtools import clear_gcd_caches
@@ -36,8 +37,7 @@ def stream():
 def _cold_run_knob():
     """Honor REPRO_NO_CACHE: reset every cache tier before each test."""
     if os.environ.get("REPRO_NO_CACHE"):
-        clear_mapping_caches()
-        DEFAULT_TIERS.clear()
+        clear_shared_caches()
         clear_ideal_caches()
         clear_gcd_caches()
     yield

@@ -21,7 +21,7 @@ True
 
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
-from repro.api.session import MappingSession, default_session
+from repro.api.session import MappingSession
 from repro.api.types import (
     DEFAULT_LIBRARY,
     DEFAULT_PLATFORM,
@@ -33,6 +33,7 @@ from repro.api.types import (
     SweepRequest,
     VerifyResult,
     canonical_json,
+    parse_json_body,
 )
 from repro.mapping.batch import BatchItem, BatchReport
 from repro.mapping.cache import CacheTiers
@@ -41,7 +42,6 @@ from repro.mapping.flow import SweepReport
 __all__ = [
     "MappingSession",
     "SessionConfig",
-    "default_session",
     "MapRequest",
     "MapResult",
     "ParetoResult",
@@ -53,6 +53,7 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "canonical_json",
+    "parse_json_body",
     "LIBRARY_TAGS",
     "DEFAULT_LIBRARY",
     "DEFAULT_PLATFORM",

@@ -1,17 +1,14 @@
 """Typed, immutable session configuration.
 
-One frozen dataclass replaces the configuration triangle the first
-four PRs grew — ``configure()`` module globals, ``REPRO_*`` environment
-variables, and per-call keyword arguments — with a single precedence
-rule, applied once, at construction:
+One frozen dataclass holds every cross-cutting setting, resolved by a
+single precedence rule, applied once, at construction:
 
     explicit ``SessionConfig`` field  >  environment  >  built-in default
 
 ``SessionConfig(...)`` is fully explicit: the environment is ignored.
 ``SessionConfig.from_env(...)`` reads the environment first and lets
 keyword overrides win; it is what :class:`~repro.api.MappingSession`
-builds when no config is passed, so a bare session behaves exactly
-like the legacy module-level entry points.  The full precedence table
+builds when no config is passed.  The full precedence table
 lives in ``docs/architecture.md`` ("Public API & sessions").
 
 Recognized environment variables:
@@ -31,7 +28,11 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from repro.api.types import DEFAULT_LIBRARY, DEFAULT_PLATFORM
+from repro.api.types import (
+    ACCURACY_BUDGET_MESSAGE,
+    DEFAULT_LIBRARY,
+    DEFAULT_PLATFORM,
+)
 from repro.platform.registry import DEFAULT_REGISTRY, ProcessorRegistry
 from repro.workload.registry import (
     DEFAULT_WORKLOAD,
@@ -89,6 +90,8 @@ class SessionConfig:
             raise ValueError("workload must be a non-empty registry key")
         if not (self.tolerance > 0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.accuracy_budget >= 0:  # negative or NaN
+            raise ValueError(ACCURACY_BUDGET_MESSAGE)
         # Tags arrive as any iterable of strings; store canonically.
         object.__setattr__(self, "library", tuple(self.library))
 
@@ -100,8 +103,8 @@ class SessionConfig:
 
         ``environ`` defaults to ``os.environ`` (injectable for tests).
         ``REPRO_NO_CACHE`` beats ``REPRO_CACHE_DIR`` within the
-        environment layer, mirroring the legacy resolution order; an
-        explicit ``disk_cache=True`` override beats both.
+        environment layer; an explicit ``disk_cache=True`` override
+        beats both.
         """
         env = os.environ if environ is None else environ
         values: dict = {}

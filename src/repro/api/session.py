@@ -23,23 +23,31 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
-from repro.api.types import MapRequest, MapResult, ParetoResult, VerifyResult
+from repro.api.types import (
+    ACCURACY_BUDGET_MESSAGE,
+    MapRequest,
+    MapResult,
+    ParetoResult,
+    VerifyResult,
+)
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.batch import BatchItem, BatchReport, run_batch
-from repro.mapping.cache import DEFAULT_TIERS, CacheTiers, clear_shared_caches
-from repro.mapping.cache import shared_cache_stats as _shared_cache_stats
+from repro.mapping.cache import CacheTiers, clear_shared_caches, shared_cache_stats
 from repro.mapping.decompose import (
     DecomposeResult,
-    _decompose_cached,
-    _map_block_cached,
-    _map_block_pareto_cached,
+    _decompose_key,
+    _map_block_key,
+    _map_block_search,
+    decompose,
 )
 from repro.mapping.flow import MethodologyFlow, SweepReport
+from repro.mapping.match import BlockMatch
+from repro.mapping.pareto import BlockParetoResult
 from repro.platform.badge4 import Badge4
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["MappingSession", "default_session"]
+__all__ = ["MappingSession"]
 
 
 class MappingSession:
@@ -50,17 +58,13 @@ class MappingSession:
     config:
         The session's :class:`~repro.api.SessionConfig`.  ``None``
         resolves from the environment
-        (:meth:`SessionConfig.from_env`), which makes a bare
-        ``MappingSession()`` behave like the legacy module-level entry
-        points.
+        (:meth:`SessionConfig.from_env`).  The session builds its
+        private :class:`~repro.mapping.cache.CacheTiers` from it once,
+        which is what isolates two sessions in one process.
     blocks:
         Optional pre-extracted target blocks for the catalog (tests
         and embedders inject cheap blocks; the service injects its
         shared catalog so extraction happens once per process).
-    tiers:
-        Optional pre-built cache tiers.  :func:`default_session` binds
-        the process-wide default tiers here; ordinary sessions build
-        private tiers from the config, which is what isolates them.
 
     Resource arguments throughout accept *names or live objects*: a
     block is a catalog name or a ``TargetBlock``; a library is a tag
@@ -75,17 +79,13 @@ class MappingSession:
         config: "SessionConfig | None" = None,
         *,
         blocks: "Mapping[str, TargetBlock] | None" = None,
-        tiers: "CacheTiers | None" = None,
     ):
         self.config = config if config is not None else SessionConfig.from_env()
-        if tiers is not None:
-            self.tiers = tiers
-        else:
-            self.tiers = CacheTiers(
-                cache_dir=self.config.effective_cache_dir,
-                decompose_lru=self.config.decompose_lru,
-                map_block_lru=self.config.map_block_lru,
-            )
+        self.tiers = CacheTiers(
+            cache_dir=self.config.effective_cache_dir,
+            decompose_lru=self.config.decompose_lru,
+            map_block_lru=self.config.map_block_lru,
+        )
         self.catalog = ResourceCatalog(
             blocks=blocks,
             registry=self.config.registry,
@@ -129,7 +129,25 @@ class MappingSession:
             tolerance = self.config.tolerance
         if accuracy_budget is None:
             accuracy_budget = self.config.accuracy_budget
+        elif not accuracy_budget >= 0:  # negative or NaN
+            raise ValueError(ACCURACY_BUDGET_MESSAGE)
         return tolerance, accuracy_budget
+
+    def _match(
+        self, block, library, platform, tolerance, accuracy_budget
+    ) -> "tuple[BlockMatch | None, tuple[BlockMatch, ...]]":
+        """The cached block match: ``(winner_or_None, matches)``."""
+        key = _map_block_key(block, library, platform, tolerance, accuracy_budget)
+        return self.tiers.resolve(
+            key,
+            lambda: _map_block_search(
+                block,
+                library,
+                platform,
+                tolerance=tolerance,
+                accuracy_budget=accuracy_budget,
+            ),
+        )
 
     # -- the methodology --------------------------------------------------
     def map(
@@ -144,8 +162,8 @@ class MappingSession:
     ) -> MapResult:
         """Scalar block mapping: the cheapest adequate complex element.
 
-        The session form of the paper's ``map_block`` — same search,
-        same cache keys, session-owned tiers — returning a typed
+        The paper's one-step block matching behind the session's
+        tiers, returning a typed
         :class:`~repro.api.MapResult` whose ``to_json()`` is the
         service's ``/v1/map`` wire format.  ``workload`` selects the
         registry entry the block name resolves in (default: the
@@ -164,14 +182,14 @@ class MappingSession:
             accuracy_budget=accuracy_budget,
             workload=workload_key,
         )
-        winner, matches = _map_block_cached(
-            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        winner, matches = self._match(
+            block_obj, library_obj, platform_obj, tolerance, accuracy_budget
         )
         return MapResult(
             request=request,
             platform=platform_obj,
             winner=winner,
-            matches=tuple(matches),
+            matches=matches,
         )
 
     def pareto(
@@ -212,20 +230,18 @@ class MappingSession:
             accuracy_budget=accuracy_budget,
             workload=workload_key,
         )
-        stimulus = None
+        _winner, matches = self._match(
+            block_obj, library_obj, platform_obj, tolerance, accuracy_budget
+        )
+        measure_fn = None
         if measure:
-            from repro.codegen.verify import stimulus_for_block
+            from repro.codegen.verify import match_measurer, stimulus_for_block
 
-            stimulus = stimulus_for_block(block_obj, workload_key)
-        result = _map_block_pareto_cached(
-            block_obj,
-            library_obj,
-            platform_obj,
-            tolerance,
-            accuracy_budget,
-            self.tiers,
-            measure=measure,
-            stimulus=stimulus,
+            measure_fn = match_measurer(
+                block_obj, stimulus=stimulus_for_block(block_obj, workload_key)
+            )
+        result = BlockParetoResult.from_matches(
+            block_obj.name, platform_obj, matches, measure=measure_fn
         )
         return ParetoResult(request=request, result=result)
 
@@ -264,8 +280,8 @@ class MappingSession:
             accuracy_budget=accuracy_budget,
             workload=workload_key,
         )
-        winner, _matches = _map_block_cached(
-            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        winner, _matches = self._match(
+            block_obj, library_obj, platform_obj, tolerance, accuracy_budget
         )
         measurement = None
         if winner is not None:
@@ -297,21 +313,21 @@ class MappingSession:
         """The scalar Decompose search (Table 2), session-cached.
 
         Knob defaults mirror :func:`repro.mapping.decompose.decompose`
-        exactly, so session and module-level calls share cache lines.
+        exactly, so a session call and a batch item share cache lines.
         """
         _tags, library_obj = self._resolve_library(library)
         _label, platform_obj = self._resolve_platform(platform)
-        return _decompose_cached(
-            target,
-            library_obj,
-            platform_obj,
+        knobs = dict(
             tolerance=tolerance,
             accuracy_budget=accuracy_budget,
             max_depth=max_depth,
             max_nodes=max_nodes,
             use_hints=use_hints,
             use_bounding=use_bounding,
-            tiers=self.tiers,
+        )
+        key = _decompose_key(target, library_obj, platform_obj, **knobs)
+        return self.tiers.resolve(
+            key, lambda: decompose(target, library_obj, platform_obj, **knobs)
         )
 
     def batch(
@@ -424,20 +440,6 @@ class MappingSession:
             workloads=self.config.workloads,
         )
 
-    def cached_map(self, key: tuple, digest: "str | None" = None):
-        """The cached ``(winner, matches)`` for a prebuilt map key, or
-        ``None`` — memory, then the shared disk tier; never computes.
-
-        The fleet front's shard router peeks here before forwarding:
-        a warm hit (this worker's LRU, or any worker's write-through
-        into the shared sqlite tier) is served locally, so only cold
-        work pays the cross-worker hop.  ``key`` is the tuple
-        :func:`repro.mapping.decompose._map_block_key` builds;
-        ``digest`` optionally carries its precomputed
-        :func:`~repro.mapping.cache.stable_digest`.
-        """
-        return self.tiers.lookup_map_block(key, digest)
-
     def cache_counters(self) -> dict:
         """Flat, summable cache counters for cross-worker aggregation.
 
@@ -474,7 +476,7 @@ class MappingSession:
         (instantiations, manipulations, hints) every session shares.
         """
         stats = self.tiers.stats()
-        stats["shared"] = _shared_cache_stats()
+        stats["shared"] = shared_cache_stats()
         return stats
 
     def clear_caches(self, *, shared: bool = True) -> None:
@@ -524,24 +526,3 @@ class MappingSession:
     def __repr__(self) -> str:
         disk = self.config.effective_cache_dir
         return f"MappingSession(platform={self.config.platform!r}, disk={disk!r})"
-
-
-_DEFAULT_SESSION: "MappingSession | None" = None
-_DEFAULT_SESSION_LOCK = threading.Lock()
-
-
-def default_session() -> MappingSession:
-    """The process-wide session bound to the legacy default tiers.
-
-    Every deprecated module-level entry point and this session resolve
-    against the same :data:`~repro.mapping.cache.DEFAULT_TIERS`, so
-    mixing old and new call styles keeps one coherent cache pool.
-    Built lazily, once, from the environment.
-    """
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        if _DEFAULT_SESSION is None:
-            _DEFAULT_SESSION = MappingSession(
-                SessionConfig.from_env(), tiers=DEFAULT_TIERS
-            )
-        return _DEFAULT_SESSION

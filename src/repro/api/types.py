@@ -5,14 +5,15 @@ these dataclasses, not the other way around: ``MapResult.to_json()``
 is byte-for-byte the ``/v1/map`` response body, ``ParetoResult`` the
 ``/v1/pareto`` body, and a sweep's canonical form remains
 :meth:`~repro.mapping.flow.SweepReport.to_json`.  The CLI prints the
-same bytes.  One source of truth means session, legacy, CLI and
-service answers to the same request can be compared with ``==`` on
-bytes — and the test suite does exactly that.
+same bytes.  One source of truth means session, CLI and service
+answers to the same request can be compared with ``==`` on bytes —
+and the test suite does exactly that.
 
 * **Canonical JSON** — :func:`canonical_json` renders sorted keys, no
   whitespace, ``repr``-exact floats, NaN/Infinity rejected.
-* **Request dataclasses** — :class:`MapRequest` and
-  :class:`SweepRequest` parse and validate JSON payloads, raising
+* **Request dataclasses** — :func:`parse_json_body` decodes a request
+  body, and :class:`MapRequest` and :class:`SweepRequest` parse and
+  validate the JSON payload, raising
   :class:`~repro.errors.ServiceError` with the HTTP status a transport
   should answer (400 malformed, 404 unknown resource).
 * **Result dataclasses** — :class:`MapResult` and :class:`ParetoResult`
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_WORKLOAD",
     "ACCURACY_BUDGET_MESSAGE",
     "canonical_json",
+    "parse_json_body",
     "MapRequest",
     "SweepRequest",
     "MapResult",
@@ -77,6 +79,22 @@ def canonical_json(payload) -> bytes:
         ensure_ascii=True,
         allow_nan=False,
     ).encode("ascii")
+
+
+def parse_json_body(body: bytes):
+    """Decode a request body, mapping every failure to a 400.
+
+    Canonical JSON also makes the fleet's shard routing sound:
+    ``canonical_json(json.loads(body)) == body`` for any canonical
+    body, so a response relayed worker-to-worker re-renders
+    byte-identical to one served directly.
+    """
+    if not body:
+        raise ServiceError(400, "request body must be a JSON object")
+    try:
+        return json.loads(body)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ServiceError(400, f"malformed JSON body: {exc}") from None
 
 
 def _require_object(payload) -> dict:
@@ -141,9 +159,9 @@ class MapRequest:
     :meth:`~repro.library.catalog.Library.union`; ``platform`` a
     processor-registry key; ``workload`` the workload-registry key the
     block name resolves in (default ``"mp3"``, so pre-registry clients
-    keep their wire format).  The tolerance/accuracy knobs mirror
-    :func:`~repro.mapping.decompose.map_block` exactly, so a service
-    request, a session call, and a direct call share cache lines.
+    keep their wire format).  The tolerance/accuracy knobs are the
+    block match's own, so a service request, a session call, and a
+    batch item share cache lines.
     """
 
     block: str

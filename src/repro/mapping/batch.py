@@ -3,7 +3,7 @@ items, deduplicated and fanned out across processes.
 
 The methodology re-runs library mapping over many critical blocks and
 a ladder of libraries (the paper's Tables 4–6).  Each individual
-``decompose``/``map_block`` call is already memoized; what was missing
+session call is already memoized; what was missing
 is how the calls are *driven*: a pass that maps its blocks one at a
 time in a single process pays every cold search sequentially.  This
 module accepts a whole batch of work items, resolves what it can from
@@ -38,14 +38,12 @@ inputs (asserted in ``tests/mapping/test_batch.py``).
 
 Cache ownership: ``run_batch(tiers=...)`` resolves and merges against
 an explicit :class:`~repro.mapping.cache.CacheTiers` — the session
-facade passes its own — and defaults to the process-wide
-:data:`~repro.mapping.cache.DEFAULT_TIERS`, so legacy callers keep the
-exact pre-session behaviour.
+facade passes its own.  Without one, the call gets a private
+memory-only bundle, so nothing is shared beyond the call.
 """
 
 from __future__ import annotations
 
-import inspect
 import pickle
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -53,14 +51,12 @@ from typing import Iterable, Sequence
 
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
-from repro.mapping.cache import DEFAULT_TIERS, CacheTiers, stable_digest
+from repro.mapping.cache import CacheTiers
 from repro.mapping.decompose import (
     _decompose_key,
-    _decompose_uncached,
     _map_block_key,
-    _map_block_uncached,
+    _map_block_search,
     decompose,
-    map_block,
 )
 from repro.platform.badge4 import Badge4
 from repro.resilience import inject
@@ -69,22 +65,13 @@ from repro.symalg.polynomial import Polynomial
 __all__ = ["BatchItem", "BatchStats", "BatchReport", "run_batch"]
 
 
-def _kw_defaults(fn) -> dict:
-    """Keyword-only defaults of a mapping entry point (minus cache_dir).
-
-    Read from the live signature so the batch engine can never drift
-    from the functions it prewarms — identical knobs mean identical
-    cache keys.
-    """
-    return {
-        name: p.default
-        for name, p in inspect.signature(fn).parameters.items()
-        if p.kind is inspect.Parameter.KEYWORD_ONLY and name != "cache_dir"
-    }
-
-
-_MAP_BLOCK_DEFAULTS = _kw_defaults(map_block)
-_DECOMPOSE_DEFAULTS = _kw_defaults(decompose)
+#: Per work kind: the search that runs it and the key that caches it.
+#: The knob defaults are the search's own keyword-only defaults, so a
+#: batch item and a direct call with the same knobs share a cache line.
+_KINDS = {
+    "map_block": (_map_block_search, _map_block_key),
+    "decompose": (decompose, _decompose_key),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +80,7 @@ class BatchItem:
 
     Build via :meth:`for_block` (multi-output block matching) or
     :meth:`for_target` (scalar Decompose search); both normalize the
-    knobs with the entry points' own defaults so batch submissions and
+    knobs with the searches' own defaults so batch submissions and
     direct calls share cache lines.
     """
 
@@ -113,11 +100,7 @@ class BatchItem:
     ) -> "BatchItem":
         """A block-matching item (the ``map_block`` work unit)."""
         return cls(
-            "map_block",
-            block,
-            library,
-            platform,
-            _normalize(knobs, _MAP_BLOCK_DEFAULTS, "map_block"),
+            "map_block", block, library, platform, _normalize(knobs, "map_block")
         )
 
     @classmethod
@@ -130,17 +113,12 @@ class BatchItem:
     ) -> "BatchItem":
         """A Decompose-search item (the ``decompose`` work unit)."""
         return cls(
-            "decompose",
-            target,
-            library,
-            platform,
-            _normalize(knobs, _DECOMPOSE_DEFAULTS, "decompose"),
+            "decompose", target, library, platform, _normalize(knobs, "decompose")
         )
 
 
-def _normalize(
-    knobs: dict, defaults: dict, kind: str
-) -> tuple[tuple[str, object], ...]:
+def _normalize(knobs: dict, kind: str) -> tuple[tuple[str, object], ...]:
+    defaults = _KINDS[kind][0].__kwdefaults__
     unknown = set(knobs) - set(defaults)
     if unknown:
         raise TypeError(f"unknown {kind} knob(s): {sorted(unknown)}")
@@ -179,27 +157,18 @@ class BatchReport:
 
 
 def _item_key(item: BatchItem, default_platform: Badge4) -> tuple:
-    platform = item.platform or default_platform
-    knobs = dict(item.knobs)
-    if item.kind == "map_block":
-        return _map_block_key(
-            item.payload,
-            item.library,
-            platform,
-            knobs["tolerance"],
-            knobs["accuracy_budget"],
-        )
-    return _decompose_key(
+    key_fn = _KINDS[item.kind][1]
+    return key_fn(
         item.payload,
         item.library,
-        platform,
-        knobs["tolerance"],
-        knobs["accuracy_budget"],
-        knobs["max_depth"],
-        knobs["max_nodes"],
-        knobs["use_hints"],
-        knobs["use_bounding"],
+        item.platform or default_platform,
+        **dict(item.knobs),
     )
+
+
+def _search(kind: str, payload, library: Library, platform: Badge4, knobs: dict):
+    """Run one item's cold search; the value is the cache-tier shape."""
+    return _KINDS[kind][0](payload, library, platform, **knobs)
 
 
 def _pack_job(item: BatchItem, lib_blobs: dict[int, bytes]) -> bytes:
@@ -226,7 +195,7 @@ def _pack_job(item: BatchItem, lib_blobs: dict[int, bytes]) -> bytes:
 def _execute_job(blob: bytes):
     """Worker-side execution: rebuild the inputs, run the cold search.
 
-    Goes straight to the uncached internals: the parent only ships
+    Runs the plain search, no cache lookup: the parent only ships
     items that already missed both cache tiers, so worker-side lookups
     could only miss too, and the parent merges every returned value
     into the LRU *and* the disk tier exactly once (a worker-side
@@ -241,55 +210,32 @@ def _execute_job(blob: bytes):
     kind, payload, lib_name, lib_blob, spec, knobs = pickle.loads(blob)
     library = Library(lib_name, pickle.loads(lib_blob))
     platform = Badge4(processor=spec) if spec is not None else Badge4()
-    if kind == "map_block":
-        return _map_block_uncached(
-            payload, library, platform, knobs["tolerance"], knobs["accuracy_budget"]
-        )
-    return _decompose_uncached(payload, library, platform, **knobs)
+    return _search(kind, payload, library, platform, knobs)
 
 
 def _compute_cold(
     item: BatchItem,
     key: tuple,
     digest,
-    tier,
     tiers: CacheTiers,
     default_platform: Badge4,
 ) -> object:
-    """In-process cold execution, merging straight into the tiers.
+    """In-process cold execution, storing straight into the tiers.
 
     The caller has already keyed the item and missed both tiers, so
-    this goes directly to the uncached search — re-entering the public
-    entry points would redo the key/digest/lookup work and double-count
-    the misses in :meth:`~repro.mapping.cache.CacheTiers.stats`.
+    this runs the plain search and writes through with the digest the
+    lookup computed — a second lookup would double-count the misses
+    in :meth:`~repro.mapping.cache.CacheTiers.stats`.
     """
-    platform = item.platform or default_platform
-    knobs = dict(item.knobs)
-    if item.kind == "map_block":
-        value = _map_block_uncached(
-            item.payload,
-            item.library,
-            platform,
-            knobs["tolerance"],
-            knobs["accuracy_budget"],
-        )
-    else:
-        value = _decompose_uncached(item.payload, item.library, platform, **knobs)
-    _merge(item.kind, key, digest, value, tier, tiers)
+    value = _search(
+        item.kind,
+        item.payload,
+        item.library,
+        item.platform or default_platform,
+        dict(item.knobs),
+    )
+    tiers.store(key, value, digest)
     return value
-
-
-def _merge(kind: str, key: tuple, digest, value, tier, tiers: CacheTiers) -> None:
-    """Install a computed value into both cache tiers.
-
-    ``digest`` is the key's :func:`~repro.mapping.cache.stable_digest`,
-    computed once during cold detection and threaded through so the
-    store never re-canonicalizes the key.
-    """
-    cache = tiers.map_block if kind == "map_block" else tiers.decompose
-    cache.put(key, value)
-    if tier is not None:
-        tier.put(digest, value)
 
 
 def _present(kind: str, value):
@@ -304,7 +250,6 @@ def run_batch(
     items: Iterable[BatchItem],
     *,
     workers: int | None = None,
-    cache_dir: "str | None" = None,
     executor: "Executor | None" = None,
     tiers: "CacheTiers | None" = None,
 ) -> BatchReport:
@@ -318,9 +263,6 @@ def run_batch(
     workers:
         Worker processes for the cold remainder.  ``None``/0/1 runs
         serially in-process; higher values use a process pool.
-    cache_dir:
-        Per-call override of the persistent tier directory (same
-        semantics as ``decompose``/``map_block``).
     executor:
         An injectable :class:`concurrent.futures.Executor` for the
         cold fan-out.  When given, it is used instead of forking a
@@ -331,15 +273,14 @@ def run_batch(
         behave identically.
     tiers:
         The :class:`~repro.mapping.cache.CacheTiers` to resolve and
-        merge against.  ``None`` uses the process-wide default tiers;
-        sessions pass their own, which is how concurrent sessions with
-        different cache directories stay isolated.
+        merge against.  ``None`` uses a private memory-only bundle for
+        this call; sessions pass their own, which is how concurrent
+        sessions with different cache directories stay isolated.
 
     Returns a :class:`BatchReport` whose ``results`` align with the
     submission order.  Every computed value is merged back into the
-    in-memory LRU and (when configured) the disk tier, so subsequent
-    direct ``map_block``/``decompose`` calls against the same tiers
-    hit.
+    in-memory LRU and (when configured) the disk tier, so later
+    session calls against the same tiers hit.
     """
     items = list(items)
     stats = BatchStats(submitted=len(items))
@@ -350,8 +291,7 @@ def run_batch(
         effective = max(effective, getattr(executor, "_max_workers", None) or 2)
     default_platform = Badge4()
     if tiers is None:
-        tiers = DEFAULT_TIERS
-    tier = tiers.disk(cache_dir)
+        tiers = CacheTiers()
 
     keys = [_item_key(item, default_platform) for item in items]
     resolved: dict[tuple, object] = {}
@@ -362,32 +302,24 @@ def run_batch(
             continue
         seen.add(key)
         stats.unique += 1
-        cache = tiers.map_block if item.kind == "map_block" else tiers.decompose
-        value = cache.get(key)
-        if value is not None:
+        value, source, digest = tiers.lookup(key)
+        if source == "memory":
             stats.memory_hits += 1
-            resolved[key] = value
+        elif source == "disk":
+            stats.disk_hits += 1
+        else:
+            cold.append((key, digest, item))
             continue
-        digest = stable_digest(key) if tier is not None else None
-        if tier is not None:
-            stored = tier.get(digest)
-            if stored is not None:
-                stats.disk_hits += 1
-                cache.put(key, stored)
-                resolved[key] = stored
-                continue
-        cold.append((key, digest, item))
+        resolved[key] = value
 
     stats.computed = len(cold)
     stats.workers = min(effective, len(cold)) if cold else 1
 
     if cold and effective > 1 and len(cold) > 1:
-        _run_parallel(cold, resolved, stats, tier, tiers, default_platform, executor)
+        _run_parallel(cold, resolved, stats, tiers, default_platform, executor)
     else:
         for key, digest, item in cold:
-            resolved[key] = _compute_cold(
-                item, key, digest, tier, tiers, default_platform
-            )
+            resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
             stats.serial_jobs += 1
 
     report = BatchReport(stats=stats)
@@ -401,7 +333,6 @@ def _run_parallel(
     cold: "Sequence[tuple[tuple, object, BatchItem]]",
     resolved: dict,
     stats: BatchStats,
-    tier,
     tiers: CacheTiers,
     default_platform: Badge4,
     executor: "Executor | None" = None,
@@ -414,16 +345,14 @@ def _run_parallel(
             jobs.append((key, digest, item, _pack_job(item, lib_blobs)))
         except Exception:
             stats.pickle_fallbacks += 1
-            resolved[key] = _compute_cold(
-                item, key, digest, tier, tiers, default_platform
-            )
+            resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
             stats.serial_jobs += 1
 
     if not jobs:
         return
     if len(jobs) == 1:
         key, digest, item, _ = jobs[0]
-        resolved[key] = _compute_cold(item, key, digest, tier, tiers, default_platform)
+        resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
         stats.serial_jobs += 1
         return
 
@@ -432,14 +361,14 @@ def _run_parallel(
         # down, never respawn it (its lifetime belongs to the owner) —
         # items a broken injected pool orphans degrade serially like
         # any other worker failure.
-        serial, respawn = _collect_jobs(executor, jobs, resolved, stats, tier, tiers)
+        serial, respawn = _collect_jobs(executor, jobs, resolved, stats, tiers)
         serial.extend(job[:3] for job in respawn)
     else:
-        serial = _run_private_pool(jobs, resolved, stats, tier, tiers)
+        serial = _run_private_pool(jobs, resolved, stats, tiers)
 
     for key, digest, item in serial:
         stats.worker_retries += 1
-        resolved[key] = _compute_cold(item, key, digest, tier, tiers, default_platform)
+        resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
         stats.serial_jobs += 1
 
 
@@ -447,7 +376,6 @@ def _run_private_pool(
     jobs: "Sequence[tuple[tuple, object, BatchItem, bytes]]",
     resolved: dict,
     stats: BatchStats,
-    tier,
     tiers: CacheTiers,
 ) -> "list[tuple[tuple, object, BatchItem]]":
     """Run packed jobs in a fresh process pool, respawning it once.
@@ -468,7 +396,7 @@ def _run_private_pool(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 round_serial, respawn = _collect_jobs(
-                    pool, pending, resolved, stats, tier, tiers
+                    pool, pending, resolved, stats, tiers
                 )
         except Exception:
             # The pool itself failed wholesale (e.g. fork refused):
@@ -491,7 +419,6 @@ def _collect_jobs(
     jobs: "Sequence[tuple[tuple, object, BatchItem, bytes]]",
     resolved: dict,
     stats: BatchStats,
-    tier,
     tiers: CacheTiers,
 ) -> "tuple[list, list]":
     """Submit packed jobs to ``pool``; classify what needs retrying.
@@ -523,7 +450,7 @@ def _collect_jobs(
         except Exception:
             serial.append((key, digest, item))
             continue
-        _merge(item.kind, key, digest, value, tier, tiers)
+        tiers.store(key, value, digest)
         resolved[key] = value
         stats.parallel_jobs += 1
     return serial, respawn

@@ -1,7 +1,7 @@
 """Memoization for the mapping flow: repeated decompositions are free.
 
-The mapping entry points (:func:`~repro.mapping.decompose.decompose`,
-:func:`~repro.mapping.decompose.map_block`) and the candidate
+The mapping searches (:func:`~repro.mapping.decompose.decompose` and
+the block match behind ``MappingSession.map``) and the candidate
 generators are pure functions of their arguments, but their arguments
 are not all hashable: a :class:`~repro.library.catalog.Library` is a
 mutable collection, a :class:`~repro.platform.tally.OperationTally`
@@ -12,34 +12,26 @@ live model objects.  This module supplies the missing pieces:
   inputs the algorithms read (element polynomials, costs, cycle
   prices), so semantically equal libraries/platforms hit the same
   cache line even when they are distinct objects rebuilt per pass.
-* **LRU caches** — bounded, with hit/miss/eviction counters, optionally
-  registered centrally so :func:`clear_mapping_caches` and
-  :func:`cache_stats` see every process-wide cache the mapping layer
-  owns.
-* **A persistent disk tier** — an sqlite-backed store under a
-  user-configurable cache directory, keyed by a *stable* digest of the
-  same fingerprints plus :data:`SCHEMA_VERSION`.  The expensive entry
-  points consult it on LRU miss and write through on store, so a
-  second process (a CI re-run, a fresh benchmark) starts warm.
+* **LRU caches** — bounded, with hit/miss/eviction counters.  The
+  shared pure-function caches (instantiations, manipulations, hints)
+  register centrally so :func:`shared_cache_stats` and
+  :func:`clear_shared_caches` see them.
+* **A persistent disk tier** — an sqlite-backed store under a cache
+  directory, keyed by a *stable* digest of the same fingerprints plus
+  :data:`SCHEMA_VERSION`, so a second process (a CI re-run, a fresh
+  benchmark) starts warm.
 * **:class:`CacheTiers`** — an instantiable bundle of the two mapping
-  LRUs plus a disk-tier resolution policy.  A
-  :class:`~repro.api.MappingSession` owns one, which is how two
-  sessions with different cache directories coexist in one process
-  with fully isolated statistics.  :data:`DEFAULT_TIERS` is the
-  process-wide instance every legacy module-level entry point uses.
+  LRUs plus an optional disk tier, and the one owner of the lookup
+  policy.  A :class:`~repro.api.MappingSession` owns one, which is how
+  two sessions with different cache directories coexist in one process
+  with fully isolated statistics.
 
 Cache-dir configuration
 -----------------------
-The disk tier is off by default.  The canonical way to turn it on is
-an explicit :class:`~repro.api.SessionConfig` (``cache_dir=...``); the
-process-wide default tiers additionally honor the environment:
-
-* the ``REPRO_CACHE_DIR`` environment variable names a directory
-  (checked dynamically, so exported knobs work without code changes;
-  ``REPRO_NO_CACHE=1`` force-disables it and wins over everything), or
-* the deprecated :func:`configure` pins an explicit directory, or
-* a call site passes ``cache_dir=`` to ``decompose``/``map_block``/
-  ``run_batch``.
+The disk tier is off unless a directory is given.  It is chosen once,
+when a :class:`~repro.api.SessionConfig` builds the session's tiers
+(``cache_dir=...``; ``SessionConfig.from_env`` reads
+``REPRO_CACHE_DIR``, and ``REPRO_NO_CACHE=1`` force-disables it).
 
 A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
 Disk keys cannot use Python ``hash`` (randomized per process); they
@@ -52,14 +44,14 @@ cooldown) — the cache must never break the computation.
 
 Caching contract
 ----------------
-Cached values are treated as immutable: callers receive either frozen
-dataclasses or fresh shallow copies of list results, never an aliased
-mutable structure that a later hit would observe mutated.  Correctness
-therefore only requires that fingerprints cover every input the
-algorithms depend on — a fingerprint collision between semantically
-different inputs would be a bug in the fingerprint, not in the cache.
-Values that reach the disk tier additionally rely on the serialization
-contract (``Polynomial.__getstate__``, ``LibraryElement.__getstate__``):
+Cached values are treated as immutable: callers receive frozen
+dataclasses or tuples, never an aliased mutable structure that a later
+hit would observe mutated.  Correctness therefore only requires that
+fingerprints cover every input the algorithms depend on — a
+fingerprint collision between semantically different inputs would be
+a bug in the fingerprint, not in the cache.  Values that reach the
+disk tier additionally rely on the serialization contract
+(``Polynomial.__getstate__``, ``LibraryElement.__getstate__``):
 pickles carry only canonical state, and unpicklable kernels are
 dropped because the mapping algorithms never execute them.
 """
@@ -72,11 +64,10 @@ import os
 import pickle
 import sqlite3
 import threading
-import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
@@ -90,16 +81,9 @@ __all__ = [
     "LRUCache",
     "DiskCache",
     "CacheTiers",
-    "DEFAULT_TIERS",
     "SCHEMA_VERSION",
-    "cache_stats",
-    "mapping_cache_stats",
     "shared_cache_stats",
     "clear_shared_caches",
-    "clear_mapping_caches",
-    "clear_all",
-    "configure",
-    "disk_tier",
     "stable_digest",
     "fingerprint_tally",
     "fingerprint_element",
@@ -110,9 +94,9 @@ __all__ = [
 
 _MISS = object()
 
-#: Every process-wide cache the mapping layer creates, for stats and
-#: clearing.  Session-owned :class:`CacheTiers` caches stay out of it —
-#: their statistics are isolated by design.
+#: The shared pure-function caches, for stats and clearing.  Session-
+#: owned :class:`CacheTiers` caches stay out of it — their statistics
+#: are isolated by design.
 _REGISTRY: list["LRUCache"] = []
 
 #: Bump when a change alters what cached mapping results mean: new
@@ -128,15 +112,6 @@ _REGISTRY: list["LRUCache"] = []
 SCHEMA_VERSION = 2
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the one deprecation warning a legacy entry point carries."""
-    warnings.warn(
-        f"{old} is deprecated; {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class LRUCache:
     """A bounded mapping-layer cache with least-recently-used eviction.
 
@@ -145,9 +120,9 @@ class LRUCache:
     ``put``'s eviction must be atomic across threads, not just across
     bytecodes.
 
-    ``register=False`` keeps a cache out of the process-wide registry:
-    session-owned tiers opt out so :func:`cache_stats` and
-    :func:`clear_mapping_caches` never reach across session boundaries.
+    ``register=False`` keeps a cache out of the shared registry:
+    session-owned tiers opt out so :func:`shared_cache_stats` and
+    :func:`clear_shared_caches` never reach across session boundaries.
 
     >>> cache = LRUCache(maxsize=2, name="doc")
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)
@@ -599,45 +574,36 @@ class DiskCache:
         }
 
 
+
+
 # ----------------------------------------------------------------------
 # Tier bundles: the instantiable cache-ownership unit
 # ----------------------------------------------------------------------
 #: Filename of the store inside a cache directory.
 _DB_NAME = "mapping_cache.sqlite"
 
-#: One DiskCache per resolved directory for the *default* tiers, shared
-#: by every legacy call site so stats accumulate and ``clear_all()``
-#: can reach them.  Session-owned tiers keep private memos.
-_TIERS: dict[Path, DiskCache] = {}
-
-#: Explicit configure() choice: unset / a directory / disabled (None).
-_UNSET = object()
-
 
 class CacheTiers:
-    """The two mapping LRUs plus a disk-tier policy, as one object.
+    """The two mapping LRUs plus an optional disk tier, as one object.
 
     This is the cache-ownership unit of the session facade: a
     :class:`~repro.api.MappingSession` owns exactly one ``CacheTiers``,
     so two sessions in one process can point at different cache
     directories (or none) with fully isolated hit/miss/write counters.
-    The module-level entry points all share :data:`DEFAULT_TIERS`.
+    The disk tier lives under ``cache_dir`` when one is given and is
+    off otherwise; the directory is fixed at construction and no
+    environment variable is consulted here (``SessionConfig.from_env``
+    is where ``REPRO_*`` is read).
 
-    Disk resolution has three modes, fixed at construction:
-
-    * ``follow_env=True`` — the legacy process-wide behaviour:
-      ``REPRO_NO_CACHE`` force-disables (it wins over everything,
-      including a pinned directory), an explicitly configured
-      directory wins otherwise, and ``REPRO_CACHE_DIR`` is the
-      fallback.  Only :data:`DEFAULT_TIERS` uses this mode.
-    * ``cache_dir=<dir>`` — pinned: the tier lives under ``<dir>``,
-      environment variables are ignored (explicit configuration
-      outranks the environment; see the precedence table in
-      ``docs/architecture.md``).
-    * ``cache_dir=None`` (the default) — persistence off.
+    It is also the one place that knows the lookup policy
+    (:meth:`lookup`, :meth:`store`, :meth:`resolve`): the LRU first,
+    then the disk tier by :func:`stable_digest` (a disk hit is promoted
+    into the LRU), and write-through to both on store.  Keys are the
+    tagged tuples ``repro.mapping.decompose`` builds; the tag
+    (``key[0]``, ``"decompose"`` or ``"map_block"``) picks the LRU.
 
     >>> tiers = CacheTiers()
-    >>> tiers.disk() is None
+    >>> tiers.disk is None
     True
     >>> sorted(tiers.stats())
     ['decompose', 'disk', 'map_block']
@@ -647,265 +613,98 @@ class CacheTiers:
         self,
         *,
         cache_dir: "str | os.PathLike[str] | None" = None,
-        follow_env: bool = False,
         decompose_lru: int = 512,
         map_block_lru: int = 256,
-        register: bool = False,
-        tier_memo: "dict[Path, DiskCache] | None" = None,
     ):
-        self.decompose = LRUCache(decompose_lru, name="decompose", register=register)
-        self.map_block = LRUCache(map_block_lru, name="map_block", register=register)
-        self._env_veto = follow_env
-        if follow_env:
-            self._configured: Any = _UNSET
-        elif cache_dir is None:
-            self._configured = None
-        else:
-            self._configured = Path(cache_dir)
-        self._memo = tier_memo if tier_memo is not None else {}
-
-    # -- disk resolution -------------------------------------------------
-    def tier_at(self, cache_dir: "str | os.PathLike[str]") -> DiskCache:
-        """The (memoized) disk tier rooted at ``cache_dir``."""
-        path = Path(cache_dir).expanduser()
-        tier = self._memo.get(path)
-        if tier is None:
-            tier = self._memo[path] = DiskCache(path / _DB_NAME)
-        return tier
-
-    def disk(
-        self, cache_dir: "str | os.PathLike[str] | None" = None
-    ) -> DiskCache | None:
-        """The active disk tier (``cache_dir`` overrides per call).
-
-        In env-following mode ``REPRO_NO_CACHE`` (any non-empty value)
-        disables the tier unconditionally — it is the benchmark knob
-        guaranteeing cold numbers without editing code.  Pinned and
-        disabled tiers ignore the environment entirely.
-        """
-        if self._env_veto and os.environ.get("REPRO_NO_CACHE"):
-            return None
+        self.decompose = LRUCache(decompose_lru, name="decompose", register=False)
+        self.map_block = LRUCache(map_block_lru, name="map_block", register=False)
+        self._by_tag = {"decompose": self.decompose, "map_block": self.map_block}
+        self.disk: DiskCache | None = None
         if cache_dir is not None:
-            return self.tier_at(cache_dir)
-        if self._configured is None:
-            return None
-        if self._configured is not _UNSET:
-            return self.tier_at(self._configured)
-        env_dir = os.environ.get("REPRO_CACHE_DIR")
-        if not env_dir:
-            return None
-        return self.tier_at(env_dir)
+            self.disk = DiskCache(Path(cache_dir).expanduser() / _DB_NAME)
 
-    def configure(
-        self,
-        cache_dir: "str | os.PathLike[str] | None" = None,
-        *,
-        follow_env: bool = False,
-    ) -> DiskCache | None:
-        """Repoint this bundle's disk tier.
+    # -- the lookup policy -------------------------------------------------
+    def lookup(self, key: tuple, digest: "str | None" = None) -> tuple:
+        """``(value, source, digest)`` for ``key``; never computes.
 
-        ``configure(path)`` pins it to ``path``; ``configure(None)``
-        disables it; ``configure(follow_env=True)`` reverts to
-        environment-driven resolution.  Returns the now-active tier.
+        ``source`` is ``"memory"``, ``"disk"`` or ``None`` (a miss, with
+        ``value`` ``None``).  The disk tier is consulted only on an LRU
+        miss; ``digest`` is ``stable_digest(key)``, computed at most
+        once (or passed in by a caller that already holds it) and
+        returned so the write-through after a miss never re-hashes.
         """
-        if follow_env:
-            self._configured = _UNSET
-        else:
-            self._configured = None if cache_dir is None else Path(cache_dir)
-        return self.disk()
+        lru = self._by_tag[key[0]]
+        value = lru.get(key)
+        if value is not None:
+            return value, "memory", digest
+        if self.disk is None:
+            return None, None, digest
+        if digest is None:
+            digest = stable_digest(key)
+        value = self.disk.get(digest)
+        if value is None:
+            return None, None, digest
+        lru.put(key, value)
+        return value, "disk", digest
+
+    def store(self, key: tuple, value: Any, digest: "str | None" = None) -> None:
+        """Write ``key -> value`` through the LRU and the disk tier."""
+        self._by_tag[key[0]].put(key, value)
+        if self.disk is not None:
+            self.disk.put(digest if digest is not None else stable_digest(key), value)
+
+    def resolve(self, key: tuple, compute: "Callable[[], Any]") -> Any:
+        """The cached value for ``key``, computing and storing it on a miss."""
+        value, _source, digest = self.lookup(key)
+        if value is None:
+            value = compute()
+            self.store(key, value, digest)
+        return value
 
     # -- observability / lifecycle ---------------------------------------
     def stats(self) -> dict:
         """The canonical per-tiers statistics shape.
 
         ``{"decompose": ..., "map_block": ..., "disk": ...}`` — the two
-        LRU caches' counters plus the active disk tier's (or
+        LRU caches' counters plus the disk tier's (or
         ``{"enabled": False}`` when persistence is off).
         """
-        tier = self.disk()
         return {
             "decompose": self.decompose.stats(),
             "map_block": self.map_block.stats(),
-            "disk": tier.stats() if tier is not None else {"enabled": False},
+            "disk": self.disk.stats() if self.disk is not None else {"enabled": False},
         }
 
-    def lookup_map_block(self, key: tuple, digest: "str | None" = None):
-        """The cached ``(winner, matches)`` for a prebuilt map_block
-        key, or ``None`` — memory first, then the active disk tier (a
-        disk hit is promoted into the LRU).  Never computes.
-
-        This is the fleet front's routing peek: a worker that is not a
-        request's shard owner consults it so cross-worker warm hits
-        (present in the shared disk tier) are served locally instead
-        of forwarded.  ``digest`` short-circuits re-hashing when the
-        caller already holds ``stable_digest(key)``.
-        """
-        cached = self.map_block.get(key)
-        if cached is not None:
-            return cached
-        tier = self.disk()
-        if tier is None:
-            return None
-        if digest is None:
-            digest = stable_digest(key)
-        stored = tier.get(digest)
-        if stored is not None:
-            self.map_block.put(key, stored)
-        return stored
-
-    def clear_memory(self) -> None:
-        """Drop both LRU caches (counters included)."""
+    def clear(self) -> None:
+        """Drop both LRUs (counters included) and delete the disk store."""
         self.decompose.clear()
         self.map_block.clear()
-
-    def clear(self) -> None:
-        """Drop the LRUs *and* every disk tier this bundle resolves to.
-
-        The configured tier is materialized first, so a fresh process
-        (``repro cache clear``) wipes the on-disk store it points at,
-        not just tiers this process happened to have opened already.
-        """
-        self.clear_memory()
-        self.disk()
-        for tier in list(self._memo.values()):
-            tier.clear()
+        if self.disk is not None:
+            self.disk.clear()
 
     def __repr__(self) -> str:
-        if self._configured is _UNSET:
-            where = "follow_env"
-        elif self._configured is None:
-            where = "disk=off"
-        else:
-            where = f"disk={self._configured}"
-        return f"CacheTiers({where})"
-
-
-#: The process-wide default tiers: every legacy module-level entry
-#: point (``map_block`` without a session, ``run_batch(tiers=None)``)
-#: and :func:`repro.api.default_session` share this instance, so their
-#: statistics and cache lines are one pool, exactly as before the
-#: session facade existed.
-DEFAULT_TIERS = CacheTiers(follow_env=True, register=True, tier_memo=_TIERS)
+        where = "off" if self.disk is None else self.disk.path.parent
+        return f"CacheTiers(disk={where})"
 
 
 # ----------------------------------------------------------------------
-# Process-wide stats & clearing (shared caches + the default tiers)
+# The shared pure-function caches
 # ----------------------------------------------------------------------
-def _registry_stats() -> dict[str, dict]:
-    stats: dict[str, dict] = {cache.name: cache.stats() for cache in _REGISTRY}
-    tier = DEFAULT_TIERS.disk()
-    stats["disk"] = tier.stats() if tier is not None else {"enabled": False}
-    return stats
-
-
-def cache_stats() -> dict[str, dict]:
-    """Statistics for every *process-wide* mapping cache + disk tier.
-
-    Per registered in-memory cache: size/maxsize/hits/misses/evictions.
-    Under the ``"disk"`` key: the default tiers' active disk tier, or
-    ``{"enabled": False}`` when none is configured.  Session-owned
-    tiers are excluded by design; the canonical per-session shape is
-    :meth:`CacheTiers.stats` (via ``MappingSession.stats()``).
-    """
-    return _registry_stats()
-
-
-def mapping_cache_stats() -> dict[str, dict]:
-    """Deprecated alias of :func:`cache_stats` (the original PR-1 name)."""
-    _warn_deprecated(
-        "mapping_cache_stats()",
-        "use cache_stats() or CacheTiers.stats() via MappingSession.stats()",
-    )
-    return _registry_stats()
-
-
 def shared_cache_stats() -> dict[str, dict]:
     """Statistics of the pure-function caches every session shares.
 
     The instantiation/manipulation/hint caches are keyed by exact
     inputs and hold platform-independent derivations, so they are
-    process-wide singletons rather than session state; this reports
-    them without the default tiers' own entries.
+    process-wide singletons rather than session state.
     """
-    own = {id(DEFAULT_TIERS.decompose), id(DEFAULT_TIERS.map_block)}
-    return {cache.name: cache.stats() for cache in _REGISTRY if id(cache) not in own}
+    return {cache.name: cache.stats() for cache in _REGISTRY}
 
 
 def clear_shared_caches() -> None:
-    """Empty the shared pure-function caches, leaving tier LRUs alone.
+    """Empty the shared pure-function caches (counters included).
 
-    The session-facing twin of :func:`clear_mapping_caches`:
-    ``MappingSession.clear_caches()`` clears its own
-    :class:`CacheTiers` plus these, without reaching into the default
-    tiers a *different* session (or legacy caller) may be warming.
-    """
-    own = {id(DEFAULT_TIERS.decompose), id(DEFAULT_TIERS.map_block)}
-    for cache in _REGISTRY:
-        if id(cache) not in own:
-            cache.clear()
-
-
-def clear_mapping_caches() -> None:
-    """Empty every process-wide in-memory mapping cache.
-
-    Benchmarks use this between cold/warm phases; tests use it for
-    isolation.  Neither disk tiers nor session-owned caches are
-    touched — use :meth:`CacheTiers.clear` (or the deprecated
-    :func:`clear_all`) for a truly cold start.
+    ``MappingSession.clear_caches()`` calls this after clearing its own
+    :class:`CacheTiers`; benchmarks and tests call it for a cold start.
     """
     for cache in _REGISTRY:
         cache.clear()
-
-
-def clear_all() -> None:
-    """Deprecated: empty the process-wide in-memory caches *and* every
-    disk tier the default tiers opened (the active one and any per-call
-    ``cache_dir`` overrides).  Use ``clear_mapping_caches()`` plus
-    ``DEFAULT_TIERS.clear()`` (or ``MappingSession.clear_caches()``)."""
-    _warn_deprecated(
-        "clear_all()",
-        "use clear_mapping_caches() + CacheTiers.clear() "
-        "(or MappingSession.clear_caches())",
-    )
-    clear_mapping_caches()
-    for tier in list(_TIERS.values()):
-        tier.clear()
-
-
-# ----------------------------------------------------------------------
-# Legacy tier configuration (deprecated shims over DEFAULT_TIERS)
-# ----------------------------------------------------------------------
-def _tier_at(cache_dir: "str | os.PathLike[str]") -> DiskCache:
-    """The default tiers' (memoized) disk tier rooted at ``cache_dir``."""
-    return DEFAULT_TIERS.tier_at(cache_dir)
-
-
-def configure(
-    cache_dir: "str | os.PathLike[str] | None" = None,
-    *,
-    follow_env: bool = False,
-) -> DiskCache | None:
-    """Deprecated: choose the process-wide disk tier.
-
-    ``configure(path)`` pins the default tiers to ``path``;
-    ``configure(None)`` disables them; ``configure(follow_env=True)``
-    reverts to environment-driven resolution.  New code builds a
-    :class:`~repro.api.SessionConfig` instead — sessions own their
-    tiers, so nothing process-global needs mutating.
-    """
-    _warn_deprecated(
-        "configure()",
-        "build a repro.api.SessionConfig(cache_dir=...) "
-        "(or call DEFAULT_TIERS.configure for the process default)",
-    )
-    return DEFAULT_TIERS.configure(cache_dir, follow_env=follow_env)
-
-
-def disk_tier() -> DiskCache | None:
-    """The default tiers' active disk tier, or ``None`` when off.
-
-    ``REPRO_NO_CACHE`` (any non-empty value) always disables it,
-    including one pinned by :func:`configure` — it is the benchmark
-    knob guaranteeing cold numbers without editing code.
-    """
-    return DEFAULT_TIERS.disk()

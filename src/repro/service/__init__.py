@@ -15,16 +15,15 @@ sits on the batch engine.
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.fleet import FleetSupervisor, FleetWorker, HashRing
-from repro.service.protocol import (DEFAULT_LIBRARY, DEFAULT_PLATFORM,
-                                    MapRequest, ServiceCatalog,
-                                    SweepRequest, canonical_json)
+from repro.api import (DEFAULT_LIBRARY, DEFAULT_PLATFORM, MapRequest,
+                       SweepRequest, canonical_json)
 from repro.service.server import DEFAULT_PORT, MappingService, ServiceThread
 from repro.service.singleflight import SingleFlight
 
 __all__ = [
     "MappingService", "ServiceThread", "ServiceClient", "SingleFlight",
     "FleetSupervisor", "FleetWorker", "HashRing",
-    "MapRequest", "SweepRequest", "ServiceCatalog", "ServiceError",
+    "MapRequest", "SweepRequest", "ServiceError",
     "canonical_json", "DEFAULT_PORT", "DEFAULT_LIBRARY",
     "DEFAULT_PLATFORM",
 ]

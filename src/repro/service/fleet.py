@@ -68,13 +68,12 @@ import threading
 import time
 import warnings
 
-from repro.api import MappingSession, SessionConfig
+from repro.api import (MappingSession, MapRequest, SessionConfig,
+                       SweepRequest, parse_json_body)
 from repro.mapping.cache import SCHEMA_VERSION, stable_digest
 from repro.resilience import inject
 from repro.service.metrics import (BUCKET_BOUNDS_WIRE, merge_counters,
                                    merge_metrics)
-from repro.service.protocol import (MapRequest, SweepRequest,
-                                    parse_json_body)
 from repro.service.server import MappingService
 
 __all__ = ["HashRing", "FleetWorker", "FleetSupervisor"]
@@ -253,9 +252,11 @@ class FleetWorker(MappingService):
             return None
         loop = asyncio.get_running_loop()
         if map_key is not None:
+            # The peek never computes: this worker's LRU, then the
+            # shared disk tier any worker writes through to.
             try:
-                hit = await loop.run_in_executor(
-                    None, self.session.cached_map, map_key, digest)
+                hit, _source, _digest = await loop.run_in_executor(
+                    None, self.session.tiers.lookup, map_key, digest)
             except Exception:
                 hit = None
             if hit is not None:

@@ -35,10 +35,10 @@ Request lifecycle, stated once (and documented in
    ``Retry-After`` (a draining service answers ``503``), so overload
    costs the cheapest possible work;
 2. **parse** — strict JSON validation into request dataclasses
-   (:mod:`repro.service.protocol`); malformed input answers 400,
+   (:mod:`repro.api.types`); malformed input answers 400,
    unknown resources 404, nothing heavy has run yet;
 3. **fingerprint** — the request resolves to the *same* cache key a
-   direct ``map_block`` call builds, digested with
+   ``session.map`` call builds, digested with
    :func:`~repro.mapping.cache.stable_digest`;
 4. **single-flight** — concurrent identical requests coalesce onto one
    in-flight computation (:mod:`repro.service.singleflight`);
@@ -68,12 +68,15 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import json
 import logging
 import math
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-from repro.api import MappingSession, SessionConfig, default_session
+from repro.api import (MappingSession, MapRequest, MapResult, ParetoResult,
+                       SessionConfig, SweepRequest, canonical_json,
+                       parse_json_body)
 from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
 from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
@@ -82,10 +85,6 @@ from repro.mapping.decompose import _map_block_key
 from repro.mapping.pareto import BlockParetoResult
 from repro.resilience import AdmissionController, inject
 from repro.service.metrics import BUCKET_BOUNDS_WIRE, MetricsRegistry
-from repro.service.protocol import (MapRequest, SweepRequest,
-                                    canonical_json, map_response,
-                                    pareto_response, parse_json_body,
-                                    sweep_response)
 from repro.service.singleflight import SingleFlight
 
 __all__ = ["MappingService", "ServiceThread", "DEFAULT_PORT"]
@@ -127,8 +126,9 @@ class MappingService:
         the service a private :class:`~repro.api.MappingSession`
         around that directory — which is how two services in one
         process can run against different cache dirs with isolated
-        statistics.  ``None`` shares the process default session
-        (``REPRO_CACHE_DIR`` applies).
+        statistics.  Either way the session's config comes from
+        :meth:`~repro.api.SessionConfig.from_env`, so ``None`` means
+        ``REPRO_CACHE_DIR`` (or no disk tier).
     session:
         An explicit :class:`~repro.api.MappingSession` to serve with,
         overriding ``cache_dir``.  The one object that owns the
@@ -184,12 +184,10 @@ class MappingService:
         self._listen_socket = listen_socket
         self._handlers: "set[asyncio.Task]" = set()
         self.metrics = MetricsRegistry()
-        if session is not None:
-            self.session = session
-        elif cache_dir is None:
-            self.session = default_session()
-        else:
-            self.session = MappingSession(SessionConfig.from_env(cache_dir=cache_dir))
+        if session is None:
+            overrides = {} if cache_dir is None else {"cache_dir": cache_dir}
+            session = MappingSession(SessionConfig.from_env(**overrides))
+        self.session = session
         self.catalog = self.session.catalog
         self.flight = SingleFlight()
         self._routes = {"/healthz": ("GET", self._get_health),
@@ -530,7 +528,8 @@ class MappingService:
     async def _post_map(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
         winner, matches, platform = await self._resolve_map(request)
-        return map_response(request, platform, winner, matches)
+        return MapResult(request=request, platform=platform, winner=winner,
+                         matches=tuple(matches)).to_payload()
 
     async def _post_pareto(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
@@ -540,11 +539,11 @@ class MappingService:
         # models are never baked into coalesced/cached values.
         result = BlockParetoResult.from_matches(request.block, platform,
                                                 matches)
-        return pareto_response(request, result)
+        return ParetoResult(request=request, result=result).to_payload()
 
     def _map_key(self, request: MapRequest):
         """``(cache key, block, library, platform)`` for one map or
-        pareto request — the same key a direct ``map_block`` call
+        pareto request — the same key a ``session.map`` call
         builds, shared by the single-flight layer and the fleet's
         shard router (both digest it with ``stable_digest``)."""
         block = self.catalog.block(request.block, request.workload)
@@ -628,7 +627,9 @@ class MappingService:
             stable_digest(key),
             lambda: self._offload(self._sweep_work, request,
                                   platform_keys, libraries, blocks))
-        return sweep_response(report)
+        # Round-tripping through to_json() keeps the sweep's own
+        # byte-parity guarantee.
+        return json.loads(report.to_json())
 
     def _sweep_work(self, request: SweepRequest, platform_keys,
                     libraries, blocks):

@@ -1,11 +1,7 @@
-"""Shared fixtures and builders for the session-facade test suite."""
-
-import pytest
+"""Shared builders for the session-facade test suite."""
 
 from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches
-from repro.mapping.cache import DEFAULT_TIERS
 from repro.platform import OperationTally
 from repro.symalg import Polynomial
 
@@ -35,22 +31,3 @@ def tiny_library() -> Library:
         cost=OperationTally(int_alu=2),
     )
     return Library("demo", [element])
-
-
-@pytest.fixture
-def isolated_cache_env(monkeypatch):
-    """Cold process-wide caches, default disk tier off, env knobs unset.
-
-    The session-suite twin of the mapping suite's fixture, built on the
-    non-deprecated `CacheTiers` API.  Session-private tiers need no
-    isolation (that is the point of sessions); this only pins the
-    *default* tiers the legacy entry points and `default_session` use.
-    """
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    DEFAULT_TIERS.configure(follow_env=True)

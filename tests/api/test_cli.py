@@ -34,11 +34,11 @@ class TestMapCommand:
         assert "library   LM+IH" in out
 
     def test_json_output_is_the_session_wire_format(self, capsys):
-        from repro.api import default_session
+        from repro.api import MappingSession
 
         assert main(["map", "inv_mdctL", "--library", "LM+IH", "--json"]) == 0
         out = capsys.readouterr().out.strip()
-        expected = default_session().map("inv_mdctL", ("LM", "IH")).to_json()
+        expected = MappingSession().map("inv_mdctL", ("LM", "IH")).to_json()
         assert out.encode("ascii") == expected
 
     def test_unknown_block_is_exit_2_with_stderr(self, capsys):
@@ -81,12 +81,12 @@ class TestVerifyCommand:
         assert "snr" in out
 
     def test_json_output_is_the_session_wire_format(self, capsys):
-        from repro.api import default_session
+        from repro.api import MappingSession
 
         assert main(["verify", "inv_mdctL", "--library", "LM+IH",
                      "--json"]) == 0
         out = capsys.readouterr().out.strip()
-        expected = default_session().verify("inv_mdctL", ("LM", "IH"))
+        expected = MappingSession().verify("inv_mdctL", ("LM", "IH"))
         assert out.encode("ascii") == expected.to_json()
 
     def test_unmapped_block_still_exits_zero(self, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.api import SessionConfig
+from repro.api.types import ACCURACY_BUDGET_MESSAGE
 
 
 class TestPrecedence:
@@ -64,6 +65,13 @@ class TestValidation:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             SessionConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_accuracy_budget_must_be_nonnegative(self, budget):
+        """Refused with the CLI's and the service's wording."""
+        with pytest.raises(ValueError, match=ACCURACY_BUDGET_MESSAGE):
+            SessionConfig(accuracy_budget=budget)
+        assert SessionConfig(accuracy_budget=0.0).accuracy_budget == 0.0
 
     def test_library_normalized_to_tuple(self):
         assert SessionConfig(library=["REF", "IH"]).library == ("REF", "IH")

@@ -1,11 +1,11 @@
-"""The acceptance criterion, end to end: session vs legacy vs CLI vs
-service answers for the same request are byte-identical."""
+"""The acceptance criterion, end to end: session vs plain search vs CLI
+vs service answers for the same request are byte-identical."""
 
 import pytest
 
-from repro.api import MapRequest, MapResult, default_session
+from repro.api import MapRequest, MapResult
 from repro.cli import main
-from repro.mapping import map_block
+from repro.mapping.decompose import _map_block_search
 from repro.service import MappingService, ServiceClient, ServiceThread
 
 #: The request every surface answers: the paper's IMDCT block against
@@ -17,7 +17,7 @@ _PAYLOAD = {"block": _BLOCK, "library": list(_TAGS)}
 
 @pytest.fixture(scope="module")
 def live_service():
-    """One service on the process default session (shared caches)."""
+    """One service; its session is also the in-process surface."""
     with ServiceThread(MappingService(port=0)) as thread:
         client = ServiceClient(thread.base_url)
         client.wait_healthy()
@@ -35,7 +35,7 @@ class TestMapParity:
         status, service_bytes = client.request_bytes("POST", "/v1/map", _PAYLOAD)
         assert status == 200
 
-        session = default_session()
+        session = _service.session
         session_bytes = session.map(_BLOCK, _TAGS).to_json()
         assert session_bytes == service_bytes
 
@@ -45,8 +45,7 @@ class TestMapParity:
         block = session.catalog.block(_BLOCK)
         library = session.catalog.library(_TAGS)
         platform = session.catalog.platform("SA-1110")
-        with pytest.warns(DeprecationWarning):
-            winner, matches = map_block(block, library, platform, tolerance=1e-6)
+        winner, matches = _map_block_search(block, library, platform)
         legacy_bytes = MapResult(
             request=MapRequest(block=_BLOCK, library=_TAGS),
             platform=platform,
@@ -62,7 +61,7 @@ class TestParetoParity:
         status, service_bytes = client.request_bytes("POST", "/v1/pareto", _PAYLOAD)
         assert status == 200
 
-        session_bytes = default_session().pareto(_BLOCK, _TAGS).to_json()
+        session_bytes = _service.session.pareto(_BLOCK, _TAGS).to_json()
         assert session_bytes == service_bytes
 
         cli_bytes = _cli_json(capsys, "pareto", _BLOCK, "--library", "lm+ih", "--json")
@@ -76,7 +75,7 @@ class TestSweepParity:
         status, service_bytes = client.request_bytes("POST", "/v1/sweep", payload)
         assert status == 200
 
-        report = default_session().sweep(platforms=["SA-1110"], blocks=[_BLOCK])
+        report = _service.session.sweep(platforms=["SA-1110"], blocks=[_BLOCK])
         assert report.to_json().encode("ascii") == service_bytes
 
         cli_bytes = _cli_json(
@@ -111,8 +110,8 @@ class TestNonMp3SweepParity:
                                                      payload)
         assert status == 200
 
-        report = default_session().sweep(platforms=["SA-1110"],
-                                         workload="gsm_mac")
+        report = _service.session.sweep(platforms=["SA-1110"],
+                                        workload="gsm_mac")
         assert report.workload == "gsm_mac"
         assert report.to_json().encode("ascii") == service_bytes
 

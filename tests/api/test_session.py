@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from repro.api import MappingSession, SessionConfig, default_session
+from repro.api import MappingSession, SessionConfig
+from repro.api.types import ACCURACY_BUDGET_MESSAGE
 from repro.errors import ServiceError
-from repro.mapping import BatchItem, cache_stats
-from repro.mapping.cache import DEFAULT_TIERS
+from repro.mapping import BatchItem, shared_cache_stats
+from repro.mapping.cache import SCHEMA_VERSION, stable_digest
+from repro.mapping.decompose import _map_block_key
 
 from .conftest import tiny_block, tiny_library
 
@@ -67,6 +69,12 @@ class TestMap:
             session.map(tiny_block(), ("REF", "MKL"))
         with pytest.raises(ServiceError):
             session.map(tiny_block(), platform="Z80")
+
+    @pytest.mark.parametrize("budget", [-1, -1e-9, float("nan")])
+    def test_per_call_out_of_range_budget_is_rejected(self, budget):
+        """The same refusal the CLI and /v1/* give, not an empty result."""
+        with pytest.raises(ValueError, match=ACCURACY_BUDGET_MESSAGE):
+            _session().map(tiny_block(), tiny_library(), accuracy_budget=budget)
 
     def test_library_accepts_combo_strings(self):
         session = _session()
@@ -178,10 +186,10 @@ class TestSessionIsolation:
         assert stats["disk"]["writes"] == 0
 
     def test_private_sessions_stay_out_of_process_stats(self):
-        session = _session()
-        before = cache_stats()["map_block"]["misses"]
-        session.map(tiny_block(), tiny_library())
-        assert cache_stats()["map_block"]["misses"] == before
+        bystander = _session()
+        _session().map(tiny_block(), tiny_library())
+        assert bystander.stats()["map_block"]["misses"] == 0
+        assert "map_block" not in shared_cache_stats()
 
     def test_clear_caches_wipes_an_unopened_disk_store(self, tmp_path):
         """A fresh session (fresh process in real life) pointed at a
@@ -212,16 +220,44 @@ class TestSessionIsolation:
         assert a.stats()["map_block"]["size"] == 0
         assert a.stats()["disk"]["size"] == 0
         assert b.stats()["map_block"]["size"] == 1
-        assert len(b.tiers.disk()) == 1
+        assert len(b.tiers.disk) == 1
 
 
-class TestDefaultSession:
-    def test_default_session_is_a_singleton_on_default_tiers(self):
-        session = default_session()
-        assert session is default_session()
-        assert session.tiers is DEFAULT_TIERS
+class TestCacheContract:
+    """What cache refactors must keep: the on-disk key and the counters."""
 
-    def test_default_session_work_shows_in_process_stats(self):
-        before = cache_stats()["map_block"]["misses"]
-        default_session().map(tiny_block(), tiny_library())
-        assert cache_stats()["map_block"]["misses"] == before + 1
+    def test_map_key_digest_is_pinned(self):
+        """A store written by an earlier build must still read warm:
+        the digest of a default-knob key is fixed, as is the schema."""
+        session = _session(disk_cache=False)
+        key = _map_block_key(
+            session.catalog.block("inv_mdctL", "mp3"),
+            session.catalog.library(("REF", "LM", "IH")),
+            session.catalog.platform("SA-1110"),
+            session.config.tolerance,
+            session.config.accuracy_budget,
+        )
+        assert SCHEMA_VERSION == 2
+        assert stable_digest(key) == (
+            "79dffa1f0650a01d807f77fe5d0efd2ca05f8091f498e84bf9b96270e4d15888"
+        )
+
+    def test_stats_counter_deltas_cold_warm_disk_warm(self, tmp_path):
+        """The counters the layer benchmarks read, call by call."""
+
+        def counters(session):
+            stats = session.stats()
+            return (
+                tuple(stats["map_block"][k] for k in ("hits", "misses", "evictions")),
+                tuple(stats["disk"][k] for k in ("hits", "misses", "writes")),
+            )
+
+        block, library = tiny_block(), tiny_library()
+        first = MappingSession(SessionConfig(cache_dir=tmp_path))
+        first.map(block, library)  # cold: LRU miss, disk miss, one write
+        assert counters(first) == ((0, 1, 0), (0, 1, 1))
+        first.map(block, library)  # warm: an LRU hit, disk untouched
+        assert counters(first) == ((1, 1, 0), (0, 1, 1))
+        fresh = MappingSession(SessionConfig(cache_dir=tmp_path))
+        fresh.map(block, library)  # disk-warm: LRU miss, disk hit
+        assert counters(fresh) == ((0, 1, 0), (1, 0, 0))

@@ -88,11 +88,11 @@ class TestAccuracyChain:
 
 class TestDecomposeVsBlockMatchAgreement:
     def test_scalar_and_block_paths_price_identically(self, platform):
-        """The same element priced via decompose and via map_block."""
-        from repro.mapping import map_block
+        """The same element priced via decompose and via block matching."""
+        from repro.api import MappingSession, SessionConfig
         from repro.mapping.flow import _imdct_block
-        library = full_library()
-        winner, matches = map_block(_imdct_block(), library, platform)
+        session = MappingSession(SessionConfig(disk_cache=False))
+        result = session.map(_imdct_block(), full_library(), platform)
         cycles = {m.element.name: platform.cost_model.cycles(m.element.cost)
-                  for m in matches}
-        assert cycles[winner.element.name] == min(cycles.values())
+                  for m in result.matches}
+        assert cycles[result.winner_name] == min(cycles.values())

@@ -6,8 +6,8 @@ import repro.mapping.batch as batch_mod
 from repro.library import Library, full_library
 from repro.library.builtin import (inhouse_library, linux_math_library,
                                    reference_library)
-from repro.mapping import (BatchItem, clear_mapping_caches, decompose,
-                           map_block, mapping_cache_stats, run_batch)
+from repro.api import MappingSession, SessionConfig
+from repro.mapping import BatchItem, run_batch
 from repro.mapping.flow import _imdct_block, _matrixing_block
 from repro.platform import Badge4
 from repro.symalg import symbols
@@ -52,6 +52,12 @@ def _isolated_caches(isolated_cache_env):
     yield
 
 
+@pytest.fixture
+def session():
+    """Memory-only tiers shared by a test's batch and direct calls."""
+    return MappingSession(SessionConfig(disk_cache=False))
+
+
 class TestSerialBatch:
     def test_results_align_with_submission_order(self):
         items = _work_items()
@@ -70,19 +76,19 @@ class TestSerialBatch:
         # The duplicate still gets a full result.
         assert _comparable(report.results[0]) == _comparable(report.results[4])
 
-    def test_second_run_is_all_memory_hits(self):
-        run_batch(_work_items(), workers=1)
-        report = run_batch(_work_items(), workers=1)
+    def test_second_run_is_all_memory_hits(self, session):
+        session.batch(_work_items(), workers=1)
+        report = session.batch(_work_items(), workers=1)
         assert report.stats.memory_hits == report.stats.unique
         assert report.stats.computed == 0
 
-    def test_merges_into_lru_for_direct_calls(self):
-        run_batch(_work_items(), workers=1)
-        before = mapping_cache_stats()["map_block"]["hits"]
+    def test_merges_into_lru_for_direct_calls(self, session):
+        session.batch(_work_items(), workers=1)
+        before = session.stats()["map_block"]["hits"]
         lm_ih = Library.union(reference_library(), linux_math_library(),
                               inhouse_library())
-        map_block(_imdct_block(), lm_ih, PLATFORM)
-        assert mapping_cache_stats()["map_block"]["hits"] == before + 1
+        session.map(_imdct_block(), lm_ih, PLATFORM)
+        assert session.stats()["map_block"]["hits"] == before + 1
 
 
 class TestParallelBatch:
@@ -90,22 +96,21 @@ class TestParallelBatch:
         """The acceptance bar: identical winners/costs for every item."""
         items = _work_items()
         serial = run_batch(items, workers=1)
-        clear_mapping_caches()
         parallel = run_batch(items, workers=2)
         assert parallel.stats.parallel_jobs > 0
         for s, p in zip(serial.results, parallel.results):
             assert _comparable(s) == _comparable(p)
 
-    def test_parallel_results_reach_the_lru(self):
+    def test_parallel_results_reach_the_lru(self, session):
         items = _work_items()
-        run_batch(items, workers=2)
-        report = run_batch(items, workers=2)
+        session.batch(items, workers=2)
+        report = session.batch(items, workers=2)
         assert report.stats.memory_hits == report.stats.unique
         # ... and direct (non-batch) calls hit too.
-        result = decompose(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
-                           _demo_library(), PLATFORM)
+        result = session.decompose(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
+                                   _demo_library(), PLATFORM)
         assert result.best.element_names() == ["sq2y"]
-        assert mapping_cache_stats()["decompose"]["hits"] >= 1
+        assert session.stats()["decompose"]["hits"] >= 1
 
     def test_single_cold_item_stays_serial(self):
         report = run_batch(
@@ -118,7 +123,7 @@ class TestParallelBatch:
             self, tmp_path, monkeypatch):
         """Worker-computed values are merged into the caller's tier by
         the parent (exactly once — workers never write disk), and the
-        env-configured tier is not touched when cache_dir overrides."""
+        env-configured tier is not touched when cache_dir overrides it."""
         override = tmp_path / "override-tier"
         decoy = tmp_path / "decoy-tier"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(decoy))
@@ -127,12 +132,12 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        report = run_batch(items, workers=2, cache_dir=str(override))
+        session = MappingSession(SessionConfig.from_env(cache_dir=override))
+        report = session.batch(items, workers=2)
         assert report.stats.parallel_jobs == 2
         assert (override / "mapping_cache.sqlite").exists()
         assert not decoy.exists()
-        from repro.mapping.cache import _tier_at
-        assert _tier_at(str(override)).writes == len(items)  # once each
+        assert session.tiers.disk.writes == len(items)  # once each
 
     def test_unpicklable_item_falls_back_to_serial(self, monkeypatch):
         def refuse(item, lib_blobs):
@@ -173,7 +178,6 @@ class TestFlowIntegration:
         from repro.mp3 import make_stream
         stream = make_stream(n_frames=1, seed=7)
         serial = MethodologyFlow().run_passes(stream)
-        clear_mapping_caches()
         parallel = MethodologyFlow(workers=2).run_passes(stream)
         for s, p in zip(serial.passes, parallel.passes):
             assert s.chosen_elements == p.chosen_elements

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement
-from repro.mapping import (clear_mapping_caches, decompose,
-                           fingerprint_library, fingerprint_platform,
-                           map_block, mapping_cache_stats)
+from repro.mapping import BatchItem, fingerprint_library, fingerprint_platform
 from repro.mapping.cache import (LRUCache, fingerprint_element,
                                  fingerprint_tally)
 from repro.mapping.flow import _imdct_block
@@ -27,10 +26,13 @@ def _demo_library(cost_mul=1):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_mapping_caches()
+def _fresh_caches(isolated_cache_env):
     yield
-    clear_mapping_caches()
+
+
+@pytest.fixture
+def session():
+    return MappingSession(SessionConfig(disk_cache=False))
 
 
 class TestLRUCache:
@@ -105,48 +107,48 @@ class TestFingerprints:
 class TestDecomposeMemoization:
     TARGET = x + x ** 3 * y ** 2 - 2 * x * y ** 3
 
-    def test_repeat_is_a_hit_even_with_rebuilt_library(self):
-        first = decompose(self.TARGET, _demo_library(), PLATFORM)
-        second = decompose(self.TARGET, _demo_library(), PLATFORM)
+    def test_repeat_is_a_hit_even_with_rebuilt_library(self, session):
+        first = session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        second = session.decompose(self.TARGET, _demo_library(), PLATFORM)
         assert second is first
-        assert mapping_cache_stats()["decompose"]["hits"] == 1
+        assert session.stats()["decompose"]["hits"] == 1
 
-    def test_different_knobs_miss(self):
-        decompose(self.TARGET, _demo_library(), PLATFORM)
-        decompose(self.TARGET, _demo_library(), PLATFORM, max_depth=2)
-        stats = mapping_cache_stats()["decompose"]
+    def test_different_knobs_miss(self, session):
+        session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        session.decompose(self.TARGET, _demo_library(), PLATFORM, max_depth=2)
+        stats = session.stats()["decompose"]
         assert stats["misses"] == 2
         assert stats["hits"] == 0
 
-    def test_changed_element_cost_misses(self):
-        a = decompose(self.TARGET, _demo_library(cost_mul=1), PLATFORM)
-        b = decompose(self.TARGET, _demo_library(cost_mul=9), PLATFORM)
+    def test_changed_element_cost_misses(self, session):
+        a = session.decompose(self.TARGET, _demo_library(cost_mul=1), PLATFORM)
+        b = session.decompose(self.TARGET, _demo_library(cost_mul=9), PLATFORM)
         assert b is not a
-        assert mapping_cache_stats()["decompose"]["misses"] == 2
+        assert session.stats()["decompose"]["misses"] == 2
 
-    def test_clear_forces_recompute(self):
-        first = decompose(self.TARGET, _demo_library(), PLATFORM)
-        clear_mapping_caches()
-        second = decompose(self.TARGET, _demo_library(), PLATFORM)
+    def test_clear_forces_recompute(self, session):
+        first = session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        session.clear_caches()
+        second = session.decompose(self.TARGET, _demo_library(), PLATFORM)
         assert second is not first
         assert second.best.element_names() == first.best.element_names()
         assert second.best.total_cycles == first.best.total_cycles
 
 
 class TestMapBlockMemoization:
-    def test_block_hit_returns_equal_winner_and_fresh_list(self):
-        block = _imdct_block()
-        library = full_library()
-        w1, m1 = map_block(block, library, PLATFORM)
-        w2, m2 = map_block(block, library, PLATFORM)
+    def test_block_hit_returns_equal_winner_and_fresh_list(self, session):
+        item = BatchItem.for_block(_imdct_block(), full_library(), PLATFORM)
+        w1, m1 = session.batch([item]).results[0]
+        w2, m2 = session.batch([item]).results[0]
         assert w2 is w1
         assert m2 == m1
         assert m2 is not m1     # callers may sort/extend their copy
-        assert mapping_cache_stats()["map_block"]["hits"] == 1
+        assert session.stats()["map_block"]["hits"] == 1
 
-    def test_no_match_is_cached_too(self):
+    def test_no_match_is_cached_too(self, session):
         block = _imdct_block()
         empty = Library("empty")
-        assert map_block(block, empty, PLATFORM) == (None, [])
-        assert map_block(block, empty, PLATFORM) == (None, [])
-        assert mapping_cache_stats()["map_block"]["hits"] == 1
+        for _ in range(2):
+            result = session.map(block, empty, PLATFORM)
+            assert (result.winner, result.matches) == (None, ())
+        assert session.stats()["map_block"]["hits"] == 1

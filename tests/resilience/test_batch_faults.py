@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.mapping.batch as batch_mod
-from repro.mapping import BatchItem, clear_mapping_caches, run_batch
+from repro.mapping import BatchItem, run_batch
 from repro.platform import Badge4
 from repro.resilience import FaultPlan, FaultRule
 from repro.symalg import symbols
@@ -27,18 +27,16 @@ def _items():
 
 
 @pytest.fixture(autouse=True)
-def _cold(isolated_caches):
+def _cold(isolated_cache_env):
     yield
 
 
 def _baseline():
-    """Fault-free results to compare every chaos run against.  Clears
-    the memory tier afterwards so the chaos run starts cold and must
-    actually exercise the worker pool."""
+    """Fault-free results to compare every chaos run against.  Each
+    ``run_batch`` without tiers gets its own memory-only bundle, so the
+    chaos run starts cold and must actually exercise the worker pool."""
     report = run_batch(_items(), workers=1)
-    names = [r.best.element_names() for r in report.results]
-    clear_mapping_caches()
-    return names
+    return [r.best.element_names() for r in report.results]
 
 
 class TestWorkerJobFaults:

@@ -115,7 +115,7 @@ class TestStatsSurface:
         disk = tiers.stats()["disk"]
         assert disk["broken"] is False
         assert disk["breaker"]["state"] == "closed"
-        tiers.disk().breaker.trip()
+        tiers.disk.breaker.trip()
         disk = tiers.stats()["disk"]
         assert disk["broken"] is True
         assert disk["breaker"]["state"] == "open"

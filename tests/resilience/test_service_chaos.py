@@ -113,7 +113,7 @@ class TestChaosAcceptance:
             status, first = client.request_bytes(
                 "POST", "/v1/map", {"block": "inv_mdctL"})
             assert status == 200
-            service.session.tiers.disk().breaker.trip()
+            service.session.tiers.disk.breaker.trip()
             status, again = client.request_bytes(
                 "POST", "/v1/map", {"block": "inv_mdctL"})
             assert status == 200

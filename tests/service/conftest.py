@@ -5,26 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.mapping.cache as cache_mod
-from repro.mapping import clear_mapping_caches
 from repro.service import MappingService, ServiceClient, ServiceThread
-
-
-@pytest.fixture
-def cold_caches(monkeypatch):
-    """Cold in-memory caches, disk tier off, regardless of host env.
-
-    The service-suite twin of the mapping suite's
-    ``isolated_cache_env``: coalescing tests count cache misses, so
-    they must start from a known-cold, disk-free state.
-    """
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache_mod.DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    cache_mod.DEFAULT_TIERS.configure(follow_env=True)
 
 
 class GatedExecutor(ThreadPoolExecutor):

@@ -22,9 +22,9 @@ import time
 
 import pytest
 
+from repro.api import MappingSession, SessionConfig, canonical_json
 from repro.service import (FleetSupervisor, FleetWorker, HashRing,
                            MappingService, ServiceClient, ServiceThread)
-from repro.service.protocol import canonical_json
 
 
 class TestHashRing:
@@ -87,15 +87,15 @@ class TestHashRing:
 
 
 @pytest.fixture
-def worker_pair(cold_caches):
+def worker_pair(isolated_cache_env):
     """Two in-process FleetWorkers wired as a 2-slot fleet.
 
     Internal loopback sockets are bound here (the supervisor's job in
     production); each worker runs on its own background loop.  Both
-    share the process-default session, which stands in for the shared
-    disk tier: anything one worker computes, the other's warm peek
-    sees.
+    share one session, which stands in for the shared disk tier:
+    anything one worker computes, the other's warm peek sees.
     """
+    session = MappingSession(SessionConfig(disk_cache=False))
     internal_sockets = []
     internal_ports = []
     for _ in range(2):
@@ -109,7 +109,7 @@ def worker_pair(cold_caches):
             worker = FleetWorker(port=0, worker_index=index,
                                  internal_ports=tuple(internal_ports),
                                  internal_socket=internal_sockets[index],
-                                 strategy="in_process")
+                                 strategy="in_process", session=session)
             thread = ServiceThread(worker)
             thread.__enter__()
             workers.append(worker)

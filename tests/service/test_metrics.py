@@ -12,7 +12,7 @@ from repro.service.metrics import (BUCKET_BOUNDS_SECONDS,
                                    BUCKET_BOUNDS_WIRE, LatencyHistogram,
                                    MetricsRegistry, merge_counters,
                                    merge_histograms, merge_metrics)
-from repro.service.protocol import canonical_json
+from repro.api import canonical_json
 
 
 class TestLatencyHistogram:

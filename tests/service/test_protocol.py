@@ -6,11 +6,10 @@ import math
 
 import pytest
 
+from repro.api import (DEFAULT_LIBRARY, DEFAULT_PLATFORM, MapRequest,
+                       ResourceCatalog, SweepRequest, canonical_json,
+                       parse_json_body)
 from repro.errors import ServiceError
-from repro.service.protocol import (DEFAULT_LIBRARY, DEFAULT_PLATFORM,
-                                    MapRequest, ServiceCatalog,
-                                    SweepRequest, canonical_json,
-                                    parse_json_body)
 
 
 class TestCanonicalJson:
@@ -131,18 +130,18 @@ class TestSweepRequest:
 
 class TestServiceCatalog:
     def test_blocks_memoized(self):
-        catalog = ServiceCatalog()
+        catalog = ResourceCatalog()
         assert catalog.block("inv_mdctL") is catalog.block("inv_mdctL")
         assert sorted(catalog.blocks()) == ["SubBandSynthesis",
                                            "inv_mdctL"]
 
     def test_unknown_block_404(self):
         with pytest.raises(ServiceError) as err:
-            ServiceCatalog().block("fft_radix2")
+            ResourceCatalog().block("fft_radix2")
         assert err.value.status == 404
 
     def test_library_memoized_and_unioned(self):
-        catalog = ServiceCatalog()
+        catalog = ResourceCatalog()
         library = catalog.library(("REF", "IH"))
         assert library is catalog.library(("REF", "IH"))
         assert {e.library for e in library} == {"REF", "IH"}
@@ -150,24 +149,24 @@ class TestServiceCatalog:
 
     def test_unknown_library_tag_404(self):
         with pytest.raises(ServiceError) as err:
-            ServiceCatalog().library(("REF", "MKL"))
+            ResourceCatalog().library(("REF", "MKL"))
         assert err.value.status == 404
 
     def test_duplicate_library_tag_400(self):
         with pytest.raises(ServiceError) as err:
-            ServiceCatalog().library(("REF", "REF"))
+            ResourceCatalog().library(("REF", "REF"))
         assert err.value.status == 400
 
     def test_platform_memoized(self):
-        catalog = ServiceCatalog()
+        catalog = ResourceCatalog()
         assert catalog.platform("DSP") is catalog.platform("DSP")
 
     def test_unknown_platform_404(self):
         with pytest.raises(ServiceError) as err:
-            ServiceCatalog().platform("Z80")
+            ResourceCatalog().platform("Z80")
         assert err.value.status == 404
 
     def test_platform_keys_default_is_registry_order(self):
-        keys = ServiceCatalog().platform_keys(None)
+        keys = ResourceCatalog().platform_keys(None)
         assert keys[0] == "SA-1110"
         assert len(keys) >= 4

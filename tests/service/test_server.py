@@ -10,7 +10,8 @@ import urllib.error
 import pytest
 
 from repro.errors import ServiceError
-from repro.mapping import MethodologyFlow, map_block, map_block_pareto
+from repro.api import MappingSession, SessionConfig
+from repro.mapping import MethodologyFlow
 from repro.platform.registry import DEFAULT_REGISTRY
 from repro.service import MappingService, ServiceClient, ServiceThread
 
@@ -54,12 +55,12 @@ class TestRoundTrips:
         block = service.catalog.block("inv_mdctL")
         library = service.catalog.library(("REF", "LM", "IH", "IPP"))
         platform = service.catalog.platform("SA-1110")
-        winner, matches = map_block(block, library, platform,
-                                    tolerance=1e-6)
-        assert response["winner"] == winner.element.name
+        direct = MappingSession(SessionConfig(disk_cache=False)).map(
+            block, library, platform)
+        assert response["winner"] == direct.winner_name
         assert [m["element"] for m in response["matches"]] == \
-            [m.element.name for m in matches]
-        # matches arrive in map_block's cycles-ascending order
+            [m.element.name for m in direct.matches]
+        # matches arrive in the block match's cycles-ascending order
         cycles = [m["cycles"] for m in response["matches"]]
         assert cycles == sorted(cycles)
 
@@ -68,9 +69,8 @@ class TestRoundTrips:
         response = client.pareto("SubBandSynthesis", platform="DSP")
         block = service.catalog.block("SubBandSynthesis")
         library = service.catalog.library(("REF", "LM", "IH", "IPP"))
-        result = map_block_pareto(block, library,
-                                  service.catalog.platform("DSP"),
-                                  tolerance=1e-6)
+        result = MappingSession(SessionConfig(disk_cache=False)).pareto(
+            block, library, service.catalog.platform("DSP")).result
         assert [p["element"] for p in response["front"]] == \
             [p.element_name for p in result.front]
         assert response["winner"] == result.cycles_winner.element.name
@@ -168,8 +168,7 @@ class TestSessionWiring:
         """Without a service-owned map pool, _sweep_work must not pass
         executor=None (sweep's _UNSET sentinel would treat that as an
         override disabling a session-configured executor)."""
-        from repro.api import MappingSession, SessionConfig
-        from repro.service.protocol import SweepRequest
+        from repro.api import SweepRequest
 
         captured = {}
 
@@ -314,7 +313,7 @@ class TestClientRetries:
 
 
 class TestGracefulShutdown:
-    def test_shutdown_refuses_new_connections(self, cold_caches):
+    def test_shutdown_refuses_new_connections(self, isolated_cache_env):
         # The client retries connection errors, then wraps the terminal
         # failure in ServiceError — a stopped service surfaces as that,
         # never a raw urllib exception.
@@ -326,7 +325,7 @@ class TestGracefulShutdown:
         assert excinfo.value.status == 503
         assert excinfo.value.attempts
 
-    def test_shutdown_drains_inflight_requests(self, cold_caches):
+    def test_shutdown_drains_inflight_requests(self, isolated_cache_env):
         gate = threading.Event()
         thread = ServiceThread(
             MappingService(port=0, executor=GatedExecutor(gate)))

@@ -24,10 +24,10 @@ The contract, in check order:
    the block is explicitly flagged in :data:`FLAGGED_BLOCKS`.
 """
 
+from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library.builtin import full_library
-from repro.mapping import (MethodologyFlow, decompose, fingerprint_block,
-                           map_block, map_block_pareto)
+from repro.mapping import MethodologyFlow, decompose, fingerprint_block
 from repro.platform import Badge4
 from repro.workload import WorkloadEntry
 
@@ -54,7 +54,9 @@ class WorkloadConformance:
 
     Extraction and the library are built lazily and reused across
     checks, so a parametrized test file can call the checks one at a
-    time without re-running the frontend per check.
+    time without re-running the frontend per check.  Mapping goes
+    through one memory-only session, so later checks hit the match
+    lists earlier ones computed.
     """
 
     def __init__(self, entry: WorkloadEntry):
@@ -63,6 +65,7 @@ class WorkloadConformance:
         self._blocks: "dict[str, TargetBlock] | None" = None
         self._library = None
         self._platform = None
+        self.session = MappingSession(SessionConfig(disk_cache=False))
 
     # -- lazy shared state ----------------------------------------------
     @property
@@ -82,6 +85,10 @@ class WorkloadConformance:
         if self._platform is None:
             self._platform = Badge4()
         return self._platform
+
+    def map(self, block: TargetBlock):
+        """The block's scalar mapping on the full library."""
+        return self.session.map(block, self.library, self.platform)
 
     # -- 1: metadata ----------------------------------------------------
     def check_metadata(self) -> None:
@@ -132,16 +139,16 @@ class WorkloadConformance:
     # -- 4: every block maps --------------------------------------------
     def check_every_block_maps(self) -> None:
         for name, block in self.blocks.items():
-            winner, matches = map_block(block, self.library, self.platform)
-            assert winner is not None, (
+            result = self.map(block)
+            assert result.winner is not None, (
                 f"{self.entry.key}/{name}: no adequate element in the "
                 f"full library on the default platform")
-            assert winner in matches
+            assert result.winner in result.matches
 
     # -- 5: decompose terminates ----------------------------------------
     def check_decompose_terminates(self) -> None:
         # Termination (not coverage) is the contract: multi-output
-        # blocks only map whole via map_block, and decompose's scalar
+        # blocks only map whole via block matching, and decompose's scalar
         # search legitimately rejects rows with no scalar covering.
         for name, block in self.blocks.items():
             first = block.outputs[next(iter(block.outputs))]
@@ -152,7 +159,8 @@ class WorkloadConformance:
     # -- 6: Pareto fronts -----------------------------------------------
     def check_fronts_mutually_non_dominated(self) -> None:
         for name, block in self.blocks.items():
-            result = map_block_pareto(block, self.library, self.platform)
+            result = self.session.pareto(block, self.library,
+                                         self.platform).result
             assert result.front, f"{self.entry.key}/{name}: empty front"
             for p in result.front:
                 for q in result.front:
@@ -164,7 +172,8 @@ class WorkloadConformance:
     def check_sweep_json_is_byte_reproducible(self) -> None:
         def one_sweep() -> str:
             flow = MethodologyFlow(blocks=self.blocks,
-                                   workload=self.entry.key)
+                                   workload=self.entry.key,
+                                   tiers=self.session.tiers)
             report = flow.sweep(platforms=["SA-1110"],
                                 libraries=[self.library])
             assert report.workload == self.entry.key
@@ -180,7 +189,7 @@ class WorkloadConformance:
         from repro.codegen.verify import measure_match
 
         for name, block in self.blocks.items():
-            winner, _matches = map_block(block, self.library, self.platform)
+            winner = self.map(block).winner
             assert winner is not None  # check 4 owns the mapping contract
             measurement = measure_match(
                 block, winner, stimulus=self.workload.stimulus(name))

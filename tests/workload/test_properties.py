@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement
 from repro.library.builtin import _linear_rows
-from repro.mapping import map_block, map_block_pareto
 from repro.platform import Badge4, OperationTally
 from repro.workload import kernels
 from repro.workload.dsp import fir_block
@@ -87,6 +87,10 @@ class TestBuilderCoefficients:
                     float(basis[i, j]))
 
 
+def _session() -> MappingSession:
+    return MappingSession(SessionConfig(disk_cache=False))
+
+
 def _fir_library(taps, n_out: int) -> Library:
     """A single exact-match FIR element whose tally scales with size."""
     matrix = kernels.fir_matrix(np.asarray(taps, dtype=float), n_out)
@@ -111,8 +115,8 @@ class TestMonotoneCycles:
         cycles = []
         for n_out in sorted(sizes):
             block = fir_block(taps, n_out, name=f"fir_{n_out}")
-            winner, _ = map_block(block, _fir_library(taps, n_out),
-                                  platform)
+            winner = _session().map(block, _fir_library(taps, n_out),
+                                    platform).winner
             assert winner is not None
             cycles.append(platform.cost_model.cycles(winner.element.cost))
         assert cycles == sorted(cycles)
@@ -137,8 +141,8 @@ class TestFrontConsistency:
             accuracy=accuracy, cost=OperationTally(int_mac=mac))
             for i, (mac, accuracy) in enumerate(landscape)]
         block = idct_row_block(n, name="idct_front_prop")
-        result = map_block_pareto(block, Library("prop", elements),
-                                  Badge4())
+        result = _session().pareto(block, Library("prop", elements),
+                                   Badge4()).result
         assert result.front
         names = {m.element.name for m in result.matches}
         for p in result.front:
