@@ -13,9 +13,8 @@ live objects, memoized per instance:
   (``"mp3"`` unless configured otherwise), so pre-registry callers
   see exactly the set they always did;
 * **libraries** are assembled once per tag combination and reused, so
-  the per-instance fingerprint memo
-  (:func:`~repro.mapping.cache.fingerprint_library`) and the batch
-  engine's per-object pickle memo both stay hot;
+  each pays its content digest
+  (:attr:`~repro.library.catalog.Library.digest`) once per process;
 * **platforms** come from the session's
   :class:`~repro.platform.registry.ProcessorRegistry` and are
   instantiated once per key.

@@ -32,6 +32,7 @@ from repro.api.types import (
     ACCURACY_BUDGET_MESSAGE,
     DEFAULT_LIBRARY,
     DEFAULT_PLATFORM,
+    TOLERANCE_MESSAGE,
 )
 from repro.platform.registry import DEFAULT_REGISTRY, ProcessorRegistry
 from repro.workload.registry import (
@@ -88,8 +89,8 @@ class SessionConfig:
             raise ValueError("library must name at least one catalog tag")
         if not self.workload:
             raise ValueError("workload must be a non-empty registry key")
-        if not (self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.tolerance > 0:  # zero, negative or NaN
+            raise ValueError(TOLERANCE_MESSAGE)
         if not self.accuracy_budget >= 0:  # negative or NaN
             raise ValueError(ACCURACY_BUDGET_MESSAGE)
         # Tags arrive as any iterable of strings; store canonically.

@@ -25,6 +25,7 @@ from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
 from repro.api.types import (
     ACCURACY_BUDGET_MESSAGE,
+    TOLERANCE_MESSAGE,
     MapRequest,
     MapResult,
     ParetoResult,
@@ -127,6 +128,8 @@ class MappingSession:
     def _knobs(self, tolerance, accuracy_budget) -> tuple[float, float]:
         if tolerance is None:
             tolerance = self.config.tolerance
+        elif not tolerance > 0:  # zero, negative or NaN
+            raise ValueError(TOLERANCE_MESSAGE)
         if accuracy_budget is None:
             accuracy_budget = self.config.accuracy_budget
         elif not accuracy_budget >= 0:  # negative or NaN

@@ -40,6 +40,7 @@ __all__ = [
     "DEFAULT_PLATFORM",
     "DEFAULT_WORKLOAD",
     "ACCURACY_BUDGET_MESSAGE",
+    "TOLERANCE_MESSAGE",
     "canonical_json",
     "parse_json_body",
     "MapRequest",
@@ -63,6 +64,10 @@ DEFAULT_PLATFORM = "SA-1110"
 #: surfaces refuse identically instead of silently returning an empty
 #: front.
 ACCURACY_BUDGET_MESSAGE = "field 'accuracy_budget' must be a nonnegative number"
+
+#: Likewise for a zero, negative or NaN match tolerance (which would
+#: match nothing, or never hit the cache: NaN keys compare unequal).
+TOLERANCE_MESSAGE = "field 'tolerance' must be a positive number"
 
 
 def canonical_json(payload) -> bytes:
@@ -121,6 +126,13 @@ def _number(payload: dict, key: str, default: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServiceError(400, f"field {key!r} must be a number")
     return float(value)
+
+
+def _tolerance(payload: dict, default: float) -> float:
+    value = _number(payload, "tolerance", default)
+    if not value > 0:  # zero, negative or NaN
+        raise ServiceError(400, TOLERANCE_MESSAGE)
+    return value
 
 
 def _accuracy_budget(payload: dict, default: float) -> float:
@@ -188,7 +200,7 @@ class MapRequest:
             block=_string(payload, "block"),
             library=_string_tuple(payload, "library", DEFAULT_LIBRARY),
             platform=_string(payload, "platform", DEFAULT_PLATFORM),
-            tolerance=_number(payload, "tolerance", 1e-6),
+            tolerance=_tolerance(payload, 1e-6),
             accuracy_budget=_accuracy_budget(payload, math.inf),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )
@@ -244,7 +256,7 @@ class SweepRequest:
             platforms=_string_tuple(payload, "platforms", None),
             libraries=_string_tuple(payload, "libraries", None),
             blocks=_string_tuple(payload, "blocks", None),
-            tolerance=_number(payload, "tolerance", 1e-6),
+            tolerance=_tolerance(payload, 1e-6),
             accuracy_budget=_accuracy_budget(payload, math.inf),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )

@@ -41,7 +41,7 @@ import re
 import sys
 
 from repro.api import MappingSession, SessionConfig, canonical_json
-from repro.api.types import ACCURACY_BUDGET_MESSAGE
+from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
 from repro.errors import ReproError
 
 __all__ = ["build_parser", "main"]
@@ -54,20 +54,22 @@ def _parse_tags(text: str) -> tuple[str, ...]:
     return tuple(part.upper() for part in _TAG_SPLIT.split(text) if part)
 
 
-def _accuracy_budget(text: str) -> float:
-    """Argparse type for ``--accuracy-budget``: a nonnegative float.
+def _checked_float(accept, message: str):
+    """An argparse float type refusing what ``accept`` rejects with the
+    message the service's 400 carries, so both surfaces refuse alike."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not accept(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
-    Rejects negatives with the same message the service's 400 carries
-    (:data:`~repro.api.types.ACCURACY_BUDGET_MESSAGE`), so both
-    surfaces refuse identically.
-    """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if value < 0 or value != value:
-        raise argparse.ArgumentTypeError(ACCURACY_BUDGET_MESSAGE)
-    return value
+
+_accuracy_budget = _checked_float(lambda v: v >= 0, ACCURACY_BUDGET_MESSAGE)
+_tolerance = _checked_float(lambda v: v > 0, TOLERANCE_MESSAGE)
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=None,
             help="coefficient-match tolerance (default: 1e-6)",
         )
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
         help="coefficient-match tolerance (default: 1e-6)",
     )

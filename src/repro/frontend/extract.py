@@ -39,8 +39,10 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
+from repro.digest import content_digest
 from repro.errors import FrontendError
 from repro.symalg.expression import (Add, Call, Const, Expression, Mul, Pow,
                                      Var, flatten)
@@ -74,7 +76,7 @@ class ArrayInput:
     values: object | None = None  # nested sequence matching shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetBlock:
     """The frontend's product: named output polynomials over input vars."""
 
@@ -82,6 +84,17 @@ class TargetBlock:
     outputs: dict[str, Polynomial]
     input_variables: tuple[str, ...]
     expressions: dict[str, Expression] = field(default_factory=dict)
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of name, output polynomials and input frame.
+
+        Computed once; ``expressions`` is excluded (the mapper reads
+        only the polynomials).
+        """
+        return content_digest("TargetBlock", self.name,
+                              sorted(self.outputs.items()),
+                              self.input_variables)
 
     def polynomial(self, output: str | None = None) -> Polynomial:
         """A single output's polynomial (default: the only one)."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
+from repro.digest import content_digest
 from repro.errors import LibraryError
 from repro.library.element import LibraryElement
 
@@ -20,6 +21,7 @@ class Library:
     def __init__(self, name: str, elements: Iterable[LibraryElement] = ()):
         self.name = name
         self._elements: dict[str, LibraryElement] = {}
+        self._digest: str | None = None
         for element in elements:
             self.add(element)
 
@@ -27,6 +29,20 @@ class Library:
         if element.name in self._elements:
             raise LibraryError(f"duplicate element name {element.name!r}")
         self._elements[element.name] = element
+        self._digest = None
+
+    @property
+    def digest(self) -> str:
+        """Order-independent content digest of the elements, computed once.
+
+        The hash of the sorted element digests (the library's name is
+        not part of it), so libraries assembled from equal elements by
+        different :meth:`union` calls share every cache line.
+        """
+        if self._digest is None:
+            self._digest = content_digest(
+                "Library", sorted(e.digest for e in self))
+        return self._digest
 
     def __iter__(self) -> Iterator[LibraryElement]:
         return iter(self._elements.values())

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
+from repro.digest import content_digest
 from repro.errors import LibraryError
 from repro.platform.tally import OperationTally
 from repro.symalg.polynomial import Polynomial
@@ -98,6 +100,22 @@ class LibraryElement:
     def arity(self) -> int:
         return len(self.formals)
 
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of everything the mapper reads, computed once.
+
+        Covers the name, library tag, polynomial representation,
+        accuracy and every count of the cost tally (libm calls
+        included).  ``kernel`` and ``description`` are deliberately
+        excluded: matching and decomposition never read them.
+        """
+        cost = self.cost
+        counts = tuple(getattr(cost, f.name) for f in fields(cost)
+                       if f.name != "libm_calls")
+        return content_digest("LibraryElement", self.name, self.library,
+                              self.polynomials, self.accuracy, counts,
+                              sorted(cost.libm_calls.items()))
+
     def __getstate__(self) -> dict:
         """Serialization contract: everything but an unpicklable kernel.
 
@@ -105,7 +123,7 @@ class LibraryElement:
         by reference; ad-hoc elements may carry lambdas or closures,
         which cannot cross a process or disk boundary.  Those kernels
         are replaced by ``None`` — matching and decomposition never
-        execute a kernel (it is excluded from the element fingerprint),
+        execute a kernel (it is excluded from the element digest),
         so mapping results are identical either way.  Only the
         characterization harness and the rewriter's simulation path
         would notice, and they run in the parent process.

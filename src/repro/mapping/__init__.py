@@ -10,7 +10,7 @@ in two tiers — the in-process LRU and an optional persistent disk
 store — bundled per owner as a :class:`~repro.mapping.cache.CacheTiers`.
 The typed, cached front door is :class:`repro.api.MappingSession`,
 which owns one tier bundle and exposes the whole methodology.  See
-:mod:`repro.mapping.cache` for the fingerprinting and serialization
+:mod:`repro.mapping.cache` for the digest-keying and serialization
 contracts, :func:`shared_cache_stats` / :func:`clear_shared_caches`
 for the process-wide pure-function caches, and
 :mod:`repro.mapping.batch` (:func:`run_batch`) for mapping whole

@@ -81,13 +81,14 @@ class BatchItem:
     Build via :meth:`for_block` (multi-output block matching) or
     :meth:`for_target` (scalar Decompose search); both normalize the
     knobs with the searches' own defaults so batch submissions and
-    direct calls share cache lines.
+    direct calls share cache lines, and resolve a missing platform to
+    the default ``Badge4()``.
     """
 
     kind: str  # "map_block" | "decompose"
     payload: object  # TargetBlock | Polynomial
     library: Library
-    platform: Badge4 | None
+    platform: Badge4
     knobs: tuple[tuple[str, object], ...]
 
     @classmethod
@@ -99,9 +100,8 @@ class BatchItem:
         **knobs,
     ) -> "BatchItem":
         """A block-matching item (the ``map_block`` work unit)."""
-        return cls(
-            "map_block", block, library, platform, _normalize(knobs, "map_block")
-        )
+        return cls("map_block", block, library, platform or Badge4(),
+                   _normalize(knobs, "map_block"))
 
     @classmethod
     def for_target(
@@ -112,9 +112,8 @@ class BatchItem:
         **knobs,
     ) -> "BatchItem":
         """A Decompose-search item (the ``decompose`` work unit)."""
-        return cls(
-            "decompose", target, library, platform, _normalize(knobs, "decompose")
-        )
+        return cls("decompose", target, library, platform or Badge4(),
+                   _normalize(knobs, "decompose"))
 
 
 def _normalize(knobs: dict, kind: str) -> tuple[tuple[str, object], ...]:
@@ -156,14 +155,9 @@ class BatchReport:
     stats: BatchStats = field(default_factory=BatchStats)
 
 
-def _item_key(item: BatchItem, default_platform: Badge4) -> tuple:
+def _item_key(item: BatchItem) -> tuple:
     key_fn = _KINDS[item.kind][1]
-    return key_fn(
-        item.payload,
-        item.library,
-        item.platform or default_platform,
-        **dict(item.knobs),
-    )
+    return key_fn(item.payload, item.library, item.platform, **dict(item.knobs))
 
 
 def _search(kind: str, payload, library: Library, platform: Badge4, knobs: dict):
@@ -171,23 +165,22 @@ def _search(kind: str, payload, library: Library, platform: Badge4, knobs: dict)
     return _KINDS[kind][0](payload, library, platform, **knobs)
 
 
-def _pack_job(item: BatchItem, lib_blobs: dict[int, bytes]) -> bytes:
+def _pack_job(item: BatchItem, lib_blobs: dict[str, bytes]) -> bytes:
     """Serialize one work item for a worker process.
 
     Pre-pickling (instead of letting the executor do it) makes
     unpicklable corner cases catchable per item, so one bad item can
     never poison the pool.  ``lib_blobs`` memoizes the pickled element
-    tuple per library *object* (items hold the references, so ids are
-    stable for the duration): a batch over one shared ladder serializes
+    tuple per library digest: a batch over one shared ladder serializes
     each library once, not once per item.
     """
-    blob = lib_blobs.get(id(item.library))
+    blob = lib_blobs.get(item.library.digest)
     if blob is None:
         blob = pickle.dumps(tuple(item.library), protocol=pickle.HIGHEST_PROTOCOL)
-        lib_blobs[id(item.library)] = blob
-    spec = item.platform.processor if item.platform is not None else None
+        lib_blobs[item.library.digest] = blob
     return pickle.dumps(
-        (item.kind, item.payload, item.library.name, blob, spec, dict(item.knobs)),
+        (item.kind, item.payload, item.library.name, blob,
+         item.platform.processor, dict(item.knobs)),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -209,32 +202,20 @@ def _execute_job(blob: bytes):
     inject("batch.worker")
     kind, payload, lib_name, lib_blob, spec, knobs = pickle.loads(blob)
     library = Library(lib_name, pickle.loads(lib_blob))
-    platform = Badge4(processor=spec) if spec is not None else Badge4()
-    return _search(kind, payload, library, platform, knobs)
+    return _search(kind, payload, library, Badge4(processor=spec), knobs)
 
 
-def _compute_cold(
-    item: BatchItem,
-    key: tuple,
-    digest,
-    tiers: CacheTiers,
-    default_platform: Badge4,
-) -> object:
+def _compute_cold(item: BatchItem, key: tuple, tiers: CacheTiers) -> object:
     """In-process cold execution, storing straight into the tiers.
 
     The caller has already keyed the item and missed both tiers, so
-    this runs the plain search and writes through with the digest the
-    lookup computed — a second lookup would double-count the misses
-    in :meth:`~repro.mapping.cache.CacheTiers.stats`.
+    this runs the plain search and writes through — a second lookup
+    would double-count the misses in
+    :meth:`~repro.mapping.cache.CacheTiers.stats`.
     """
-    value = _search(
-        item.kind,
-        item.payload,
-        item.library,
-        item.platform or default_platform,
-        dict(item.knobs),
-    )
-    tiers.store(key, value, digest)
+    value = _search(item.kind, item.payload, item.library, item.platform,
+                    dict(item.knobs))
+    tiers.store(key, value)
     return value
 
 
@@ -259,7 +240,7 @@ def run_batch(
     ----------
     items:
         Any iterable of :class:`BatchItem` (duplicates welcome — they
-        are deduplicated by content fingerprint, not identity).
+        are deduplicated by content digest, not identity).
     workers:
         Worker processes for the cold remainder.  ``None``/0/1 runs
         serially in-process; higher values use a process pool.
@@ -289,26 +270,25 @@ def run_batch(
         # An injected pool parallelizes regardless of `workers`; its
         # own max_workers governs the real fan-out width.
         effective = max(effective, getattr(executor, "_max_workers", None) or 2)
-    default_platform = Badge4()
     if tiers is None:
         tiers = CacheTiers()
 
-    keys = [_item_key(item, default_platform) for item in items]
+    keys = [_item_key(item) for item in items]
     resolved: dict[tuple, object] = {}
-    cold: list[tuple[tuple, object, BatchItem]] = []
+    cold: list[tuple[tuple, BatchItem]] = []
     seen: set[tuple] = set()
     for key, item in zip(keys, items):
         if key in seen:
             continue
         seen.add(key)
         stats.unique += 1
-        value, source, digest = tiers.lookup(key)
+        value, source = tiers.lookup(key)
         if source == "memory":
             stats.memory_hits += 1
         elif source == "disk":
             stats.disk_hits += 1
         else:
-            cold.append((key, digest, item))
+            cold.append((key, item))
             continue
         resolved[key] = value
 
@@ -316,10 +296,10 @@ def run_batch(
     stats.workers = min(effective, len(cold)) if cold else 1
 
     if cold and effective > 1 and len(cold) > 1:
-        _run_parallel(cold, resolved, stats, tiers, default_platform, executor)
+        _run_parallel(cold, resolved, stats, tiers, executor)
     else:
-        for key, digest, item in cold:
-            resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
+        for key, item in cold:
+            resolved[key] = _compute_cold(item, key, tiers)
             stats.serial_jobs += 1
 
     report = BatchReport(stats=stats)
@@ -330,29 +310,28 @@ def run_batch(
 
 
 def _run_parallel(
-    cold: "Sequence[tuple[tuple, object, BatchItem]]",
+    cold: "Sequence[tuple[tuple, BatchItem]]",
     resolved: dict,
     stats: BatchStats,
     tiers: CacheTiers,
-    default_platform: Badge4,
     executor: "Executor | None" = None,
 ) -> None:
     """Fan the cold items out, falling back serially where needed."""
-    jobs: list[tuple[tuple, object, BatchItem, bytes]] = []
-    lib_blobs: dict[int, bytes] = {}
-    for key, digest, item in cold:
+    jobs: list[tuple[tuple, BatchItem, bytes]] = []
+    lib_blobs: dict[str, bytes] = {}
+    for key, item in cold:
         try:
-            jobs.append((key, digest, item, _pack_job(item, lib_blobs)))
+            jobs.append((key, item, _pack_job(item, lib_blobs)))
         except Exception:
             stats.pickle_fallbacks += 1
-            resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
+            resolved[key] = _compute_cold(item, key, tiers)
             stats.serial_jobs += 1
 
     if not jobs:
         return
     if len(jobs) == 1:
-        key, digest, item, _ = jobs[0]
-        resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
+        key, item, _ = jobs[0]
+        resolved[key] = _compute_cold(item, key, tiers)
         stats.serial_jobs += 1
         return
 
@@ -362,22 +341,22 @@ def _run_parallel(
         # items a broken injected pool orphans degrade serially like
         # any other worker failure.
         serial, respawn = _collect_jobs(executor, jobs, resolved, stats, tiers)
-        serial.extend(job[:3] for job in respawn)
+        serial.extend(job[:2] for job in respawn)
     else:
         serial = _run_private_pool(jobs, resolved, stats, tiers)
 
-    for key, digest, item in serial:
+    for key, item in serial:
         stats.worker_retries += 1
-        resolved[key] = _compute_cold(item, key, digest, tiers, default_platform)
+        resolved[key] = _compute_cold(item, key, tiers)
         stats.serial_jobs += 1
 
 
 def _run_private_pool(
-    jobs: "Sequence[tuple[tuple, object, BatchItem, bytes]]",
+    jobs: "Sequence[tuple[tuple, BatchItem, bytes]]",
     resolved: dict,
     stats: BatchStats,
     tiers: CacheTiers,
-) -> "list[tuple[tuple, object, BatchItem]]":
+) -> "list[tuple[tuple, BatchItem]]":
     """Run packed jobs in a fresh process pool, respawning it once.
 
     A worker that dies hard (OOM-killed, segfaulted, ``os._exit``)
@@ -389,7 +368,7 @@ def _run_private_pool(
     is out of memory) sends the remainder to the serial path, whose
     items are returned for the caller to recompute.
     """
-    serial: list[tuple[tuple, object, BatchItem]] = []
+    serial: list[tuple[tuple, BatchItem]] = []
     pending = list(jobs)
     for round_index in range(2):
         workers = min(stats.workers, len(pending))
@@ -401,7 +380,7 @@ def _run_private_pool(
         except Exception:
             # The pool itself failed wholesale (e.g. fork refused):
             # everything not yet resolved runs serially.
-            serial.extend(job[:3] for job in pending if job[0] not in resolved)
+            serial.extend(job[:2] for job in pending if job[0] not in resolved)
             return serial
         serial.extend(round_serial)
         if not respawn:
@@ -410,13 +389,13 @@ def _run_private_pool(
             stats.pool_respawns += 1
             pending = respawn
         else:
-            serial.extend(job[:3] for job in respawn)
+            serial.extend(job[:2] for job in respawn)
     return serial
 
 
 def _collect_jobs(
     pool: Executor,
-    jobs: "Sequence[tuple[tuple, object, BatchItem, bytes]]",
+    jobs: "Sequence[tuple[tuple, BatchItem, bytes]]",
     resolved: dict,
     stats: BatchStats,
     tiers: CacheTiers,
@@ -431,26 +410,26 @@ def _collect_jobs(
     is worth one try).  Submission is guarded too: a pool that breaks
     mid-batch refuses every later ``submit`` with the same exception.
     """
-    serial: list[tuple[tuple, object, BatchItem]] = []
-    respawn: list[tuple[tuple, object, BatchItem, bytes]] = []
+    serial: list[tuple[tuple, BatchItem]] = []
+    respawn: list[tuple[tuple, BatchItem, bytes]] = []
     futures = []
-    for key, digest, item, blob in jobs:
+    for key, item, blob in jobs:
         try:
-            futures.append((key, digest, item, blob, pool.submit(_execute_job, blob)))
+            futures.append((key, item, blob, pool.submit(_execute_job, blob)))
         except BrokenExecutor:
-            respawn.append((key, digest, item, blob))
+            respawn.append((key, item, blob))
         except Exception:
-            serial.append((key, digest, item))
-    for key, digest, item, blob, future in futures:
+            serial.append((key, item))
+    for key, item, blob, future in futures:
         try:
             value = future.result()
         except BrokenExecutor:
-            respawn.append((key, digest, item, blob))
+            respawn.append((key, item, blob))
             continue
         except Exception:
-            serial.append((key, digest, item))
+            serial.append((key, item))
             continue
-        tiers.store(key, value, digest)
+        tiers.store(key, value)
         resolved[key] = value
         stats.parallel_jobs += 1
     return serial, respawn

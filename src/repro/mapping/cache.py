@@ -3,21 +3,24 @@
 The mapping searches (:func:`~repro.mapping.decompose.decompose` and
 the block match behind ``MappingSession.map``) and the candidate
 generators are pure functions of their arguments, but their arguments
-are not all hashable: a :class:`~repro.library.catalog.Library` is a
-mutable collection, a :class:`~repro.platform.tally.OperationTally`
-carries a ``dict``, and a :class:`~repro.platform.badge4.Badge4` owns
-live model objects.  This module supplies the missing pieces:
+are large and not all hashable: a
+:class:`~repro.library.catalog.Library` is a mutable collection of
+polynomial-carrying elements, a :class:`~repro.platform.badge4.Badge4`
+owns live model objects.  This module supplies the missing pieces:
 
-* **Fingerprints** — small hashable tuples that capture exactly the
-  inputs the algorithms read (element polynomials, costs, cycle
-  prices), so semantically equal libraries/platforms hit the same
-  cache line even when they are distinct objects rebuilt per pass.
+* **Keys** — short tuples of *content digests* and scalars.  Every
+  mapped-against resource (polynomial, library element, library,
+  target block, processor spec) carries a ``digest`` computed once
+  from exactly the inputs the algorithms read (:mod:`repro.digest`),
+  so semantically equal libraries/platforms hit the same cache line
+  even when they are distinct objects rebuilt per pass, and hashing a
+  key costs the same for a 36-element library as for one element.
 * **LRU caches** — bounded, with hit/miss/eviction counters.  The
   shared pure-function caches (instantiations, manipulations, hints)
   register centrally so :func:`shared_cache_stats` and
   :func:`clear_shared_caches` see them.
 * **A persistent disk tier** — an sqlite-backed store under a cache
-  directory, keyed by a *stable* digest of the same fingerprints plus
+  directory, keyed by :func:`stable_digest` of the same key plus
   :data:`SCHEMA_VERSION`, so a second process (a CI re-run, a fresh
   benchmark) starts warm.
 * **:class:`CacheTiers`** — an instantiable bundle of the two mapping
@@ -35,8 +38,8 @@ when a :class:`~repro.api.SessionConfig` builds the session's tiers
 
 A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
 Disk keys cannot use Python ``hash`` (randomized per process); they
-are sha256 digests of a canonical text encoding of the fingerprint key
-(see :func:`stable_digest`) joined with the schema version, so bumping
+are sha256 digests of a canonical text encoding of the key joined with
+the schema version (see :func:`stable_digest`), so bumping
 :data:`SCHEMA_VERSION` invalidates every stale entry at once.  A
 corrupted or unreadable store trips a circuit breaker (every lookup
 misses, every write is dropped, and the store is re-probed after a
@@ -47,10 +50,10 @@ Caching contract
 Cached values are treated as immutable: callers receive frozen
 dataclasses or tuples, never an aliased mutable structure that a later
 hit would observe mutated.  Correctness therefore only requires that
-fingerprints cover every input the algorithms depend on — a
-fingerprint collision between semantically different inputs would be
-a bug in the fingerprint, not in the cache.  Values that reach the
-disk tier additionally rely on the serialization contract
+digests cover every input the algorithms depend on — a digest
+collision between semantically different inputs would be a bug in the
+digest, not in the cache.  Values that reach the disk tier
+additionally rely on the serialization contract
 (``Polynomial.__getstate__``, ``LibraryElement.__getstate__``):
 pickles carry only canonical state, and unpicklable kernels are
 dropped because the mapping algorithms never execute them.
@@ -58,24 +61,18 @@ dropped because the mapping algorithms never execute them.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import sqlite3
 import threading
-import weakref
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
+from repro.digest import content_digest
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
-from repro.library.element import LibraryElement
 from repro.platform.badge4 import Badge4
-from repro.platform.tally import OperationTally
 from repro.resilience import CircuitBreaker, inject
-from repro.symalg.polynomial import Polynomial
 
 __all__ = [
     "LRUCache",
@@ -85,8 +82,6 @@ __all__ = [
     "shared_cache_stats",
     "clear_shared_caches",
     "stable_digest",
-    "fingerprint_tally",
-    "fingerprint_element",
     "fingerprint_library",
     "fingerprint_block",
     "fingerprint_platform",
@@ -100,16 +95,18 @@ _MISS = object()
 _REGISTRY: list["LRUCache"] = []
 
 #: Bump when a change alters what cached mapping results mean: new
-#: fields on DecomposeResult/BlockMatch, fingerprint coverage changes,
-#: algorithm changes that affect outputs.  Entries written under any
-#: other version are treated as absent.
+#: fields on DecomposeResult/BlockMatch, digest coverage or encoding
+#: changes, algorithm changes that affect outputs.  Entries written
+#: under any other version are treated as absent.
 #:
 #: History: 1 — the PR-2 disk tier; 2 — the multi-platform sweep era
 #: (pluggable processor registry + Pareto fronts derived from cached
 #: match lists; platform identity has keyed every entry since v1, but
 #: v1 entries predate the registry's non-SA-1110 specs and the
-#: derived-front contract, so they are retired wholesale).
-SCHEMA_VERSION = 2
+#: derived-front contract, so they are retired wholesale); 3 —
+#: content-addressed keys (each resource enters a key as its cached
+#: content digest, so every disk key changed encoding).
+SCHEMA_VERSION = 3
 
 
 class LRUCache:
@@ -194,176 +191,39 @@ class LRUCache:
 
 
 # ----------------------------------------------------------------------
-# Fingerprints: hashable digests of the unhashable inputs
+# Keys: short tuples of content digests and scalars
 # ----------------------------------------------------------------------
-def fingerprint_tally(tally: OperationTally) -> tuple:
-    """Hashable digest of an operation tally (all counts + libm calls)."""
-    return (
-        tally.int_alu,
-        tally.int_mul,
-        tally.int_mac,
-        tally.int_div,
-        tally.shift,
-        tally.fp_add,
-        tally.fp_mul,
-        tally.fp_div,
-        tally.load,
-        tally.store,
-        tally.branch,
-        tally.call,
-        tuple(sorted(tally.libm_calls.items())),
-    )
+def fingerprint_block(block: TargetBlock) -> str:
+    """A target block's identity in cache keys: its content digest."""
+    return block.digest
 
 
-def fingerprint_element(element: LibraryElement) -> tuple:
-    """Hashable digest of everything the mapper reads from an element.
+def fingerprint_library(library: Library) -> str:
+    """A library's identity in cache keys: its order-independent digest."""
+    return library.digest
 
-    Covers the polynomial representation (structural — the
-    :class:`~repro.symalg.polynomial.Polynomial` hash), accuracy, and
-    the cost tally; the ``kernel`` callable is deliberately excluded
-    because matching and decomposition never execute it.
+
+def fingerprint_platform(platform: Badge4) -> str:
+    """A platform's identity in cache keys: its processor spec's digest.
+
+    The energy model and DVFS state are deliberately excluded: cached
+    values are priced in cycles only, and the Pareto layer derives
+    energy scores fresh in the calling process (see
+    :mod:`repro.mapping.pareto`), so they can never be served stale.
     """
-    return (
-        element.name,
-        element.library,
-        element.polynomials,
-        element.accuracy,
-        fingerprint_tally(element.cost),
-    )
-
-
-#: Per-Library fingerprint memo.  A Library only ever grows (``add``
-#: raises on duplicates, there is no removal), so ``len`` is a sound
-#: staleness guard; weak keys keep dead libraries collectable.
-_LIBRARY_FP_MEMO: "weakref.WeakKeyDictionary[Library, tuple[int, tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def fingerprint_library(library: Library) -> tuple:
-    """Order-independent digest of a library's mapped-against content.
-
-    Two libraries with the same elements fingerprint identically even
-    when assembled by different :meth:`~repro.library.catalog.Library.union`
-    calls, so every pass of a benchmark ladder shares cache lines.
-    Memoized per instance (the batch engine keys every work item, and
-    re-fingerprinting a 20-element library per item dominated the warm
-    path).
-    """
-    memo = _LIBRARY_FP_MEMO.get(library)
-    if memo is not None and memo[0] == len(library):
-        return memo[1]
-    fp = tuple(sorted(fingerprint_element(e) for e in library))
-    _LIBRARY_FP_MEMO[library] = (len(library), fp)
-    return fp
-
-
-def fingerprint_block(block: TargetBlock) -> tuple:
-    """Digest of a target block: name, output polynomials, input frame."""
-    return (
-        block.name,
-        tuple(sorted(block.outputs.items())),
-        block.input_variables,
-    )
-
-
-def fingerprint_platform(platform: Badge4) -> tuple:
-    """Digest of the cost-model inputs of a platform.
-
-    This is the *platform identity* that keys every mapping cache
-    entry: the processor's name, clock, and full cycle/libm price
-    tables — two registry entries with different cost tables can never
-    share a cache line, and editing a spec's table retires its old
-    entries.  The energy model and DVFS state are deliberately
-    excluded: cached values (match lists, decompose results) are priced
-    in cycles only, and the Pareto layer derives energy scores fresh in
-    the calling process (see :mod:`repro.mapping.pareto`), so they can
-    never be served stale.
-    """
-    spec = platform.cost_model.spec
-    return (
-        spec.name,
-        spec.clock_hz,
-        spec.has_fpu,
-        tuple(sorted(spec.cycle_costs.items())),
-        tuple(sorted(spec.libm_costs.items())),
-        spec.libm_default,
-    )
-
-
-# ----------------------------------------------------------------------
-# Stable digests: process-independent keys for the disk tier
-# ----------------------------------------------------------------------
-def _stable(obj: Any):
-    """A JSON-able canonical form of a fingerprint key component.
-
-    Python ``hash`` is randomized per process (``PYTHONHASHSEED``), so
-    disk keys are built from this encoding instead.  Every type a
-    fingerprint tuple can contain is covered; anything else is a bug in
-    the caller's key, surfaced loudly.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return ["f", repr(obj)]  # repr round-trips exactly
-    if isinstance(obj, Fraction):
-        return ["q", obj.numerator, obj.denominator]
-    if isinstance(obj, Polynomial):
-        # The packed representation is already canonical (variables
-        # sorted, codes unique, coefficients exact); encoding it
-        # directly is ~50x cheaper than rendering str(poly), which
-        # term-order-sorts every polynomial in a library fingerprint.
-        terms = []
-        for code, coeff in sorted(obj._codes.items()):
-            if isinstance(coeff, Fraction):
-                terms.append([code, coeff.numerator, coeff.denominator])
-            else:
-                terms.append([code, coeff, 1])
-        return ["P", list(obj.variables), terms]
-    if isinstance(obj, (tuple, list)):
-        return ["t", [_stable(x) for x in obj]]
-    raise TypeError(f"cannot build a stable disk-cache key from {type(obj).__name__}")
-
-
-#: Encoded-component memo keyed by ``id``.  Only tuples are memoized
-#: (fingerprints are tuples, immutable, and — via the per-library
-#: memo — identity-stable across a batch).  Entries hold a strong
-#: reference to the tuple, so a live entry's id cannot be recycled;
-#: the table is cleared wholesale when it grows past its bound.
-_ENCODED_MEMO: dict[int, tuple[Any, str]] = {}
-_ENCODED_MEMO_BOUND = 256
-
-
-def _encoded(obj: Any) -> str:
-    """Canonical JSON text of one key component (memoized for tuples)."""
-    if isinstance(obj, tuple):
-        entry = _ENCODED_MEMO.get(id(obj))
-        if entry is not None and entry[0] is obj:
-            return entry[1]
-        text = json.dumps(_stable(obj), separators=(",", ":"), ensure_ascii=True)
-        if len(_ENCODED_MEMO) >= _ENCODED_MEMO_BOUND:
-            _ENCODED_MEMO.clear()
-        _ENCODED_MEMO[id(obj)] = (obj, text)
-        return text
-    return json.dumps(_stable(obj), separators=(",", ":"), ensure_ascii=True)
+    return platform.cost_model.spec.digest
 
 
 def stable_digest(key: tuple) -> str:
-    """Hex sha256 of the canonical encoding of ``key`` + schema version.
+    """Hex sha256 of ``key`` plus :data:`SCHEMA_VERSION`: the disk key.
 
     Stable across processes and Python sessions; changes whenever the
-    key's semantic content or :data:`SCHEMA_VERSION` changes.  Encoded
-    per top-level component (NUL-separated — JSON text cannot contain a
-    raw NUL, so the framing is unambiguous) so that the large shared
-    components — a 20-element library fingerprint — are encoded once
-    per batch instead of once per work item.
+    key's content or the schema version changes.  Keys are short tuples
+    of resource digests and scalars, so this hashes a few hundred
+    bytes; a :class:`~repro.symalg.polynomial.Polynomial` in a key
+    enters as its own cached digest.
     """
-    h = hashlib.sha256()
-    h.update(str(SCHEMA_VERSION).encode("ascii"))
-    for component in key:
-        h.update(b"\x00")
-        h.update(_encoded(component).encode("ascii"))
-    return h.hexdigest()
+    return content_digest(SCHEMA_VERSION, *key)
 
 
 # ----------------------------------------------------------------------
@@ -624,41 +484,37 @@ class CacheTiers:
             self.disk = DiskCache(Path(cache_dir).expanduser() / _DB_NAME)
 
     # -- the lookup policy -------------------------------------------------
-    def lookup(self, key: tuple, digest: "str | None" = None) -> tuple:
-        """``(value, source, digest)`` for ``key``; never computes.
+    def lookup(self, key: tuple) -> tuple:
+        """``(value, source)`` for ``key``; never computes.
 
         ``source`` is ``"memory"``, ``"disk"`` or ``None`` (a miss, with
         ``value`` ``None``).  The disk tier is consulted only on an LRU
-        miss; ``digest`` is ``stable_digest(key)``, computed at most
-        once (or passed in by a caller that already holds it) and
-        returned so the write-through after a miss never re-hashes.
+        miss.
         """
         lru = self._by_tag[key[0]]
         value = lru.get(key)
         if value is not None:
-            return value, "memory", digest
+            return value, "memory"
         if self.disk is None:
-            return None, None, digest
-        if digest is None:
-            digest = stable_digest(key)
-        value = self.disk.get(digest)
+            return None, None
+        value = self.disk.get(stable_digest(key))
         if value is None:
-            return None, None, digest
+            return None, None
         lru.put(key, value)
-        return value, "disk", digest
+        return value, "disk"
 
-    def store(self, key: tuple, value: Any, digest: "str | None" = None) -> None:
+    def store(self, key: tuple, value: Any) -> None:
         """Write ``key -> value`` through the LRU and the disk tier."""
         self._by_tag[key[0]].put(key, value)
         if self.disk is not None:
-            self.disk.put(digest if digest is not None else stable_digest(key), value)
+            self.disk.put(stable_digest(key), value)
 
     def resolve(self, key: tuple, compute: "Callable[[], Any]") -> Any:
         """The cached value for ``key``, computing and storing it on a miss."""
-        value, _source, digest = self.lookup(key)
+        value, _source = self.lookup(key)
         if value is None:
             value = compute()
-            self.store(key, value, digest)
+            self.store(key, value)
         return value
 
     # -- observability / lifecycle ---------------------------------------

@@ -78,12 +78,12 @@ def _decompose_key(
 
     Shared between ``MappingSession.decompose`` and the batch engine
     so a batch prewarm and a later direct call land on the same cache
-    line — in memory (hashable tuple) and on disk (via
-    :func:`~repro.mapping.cache.stable_digest`).
+    line — in memory (a short tuple of content digests and knobs) and
+    on disk (via :func:`~repro.mapping.cache.stable_digest`).
     """
     return (
         "decompose",
-        target,
+        target.digest,
         fingerprint_library(library),
         fingerprint_platform(platform),
         tolerance,
@@ -350,7 +350,7 @@ def _candidate_instantiations(
     scored: list[tuple[int, float, Instantiation]] = []
     # Canonical (name-sorted) element order: tie-breaking and the
     # truncation below must not depend on library assembly order, or
-    # the order-independent library fingerprint would be unsound.
+    # the order-independent library digest would be unsound.
     for element in sorted(library, key=lambda e: e.name):
         if element.n_outputs > 1:
             continue  # block elements are handled by _map_block_search

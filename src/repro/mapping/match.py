@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.frontend.extract import TargetBlock
 from repro.library.element import LibraryElement
-from repro.mapping.cache import LRUCache, fingerprint_element
+from repro.mapping.cache import LRUCache
 from repro.symalg.ideal import SideRelation
 from repro.symalg.polynomial import Polynomial
 
@@ -122,11 +122,11 @@ def enumerate_instantiations(
     which MAC-style decomposition chains rely on; candidates are ranked
     by how many of the target's monomials the bound polynomial shares.
 
-    Memoized per ``(element, target, tolerance, limit)``: cached
+    Memoized per ``(element digest, target, tolerance, limit)``: cached
     instantiations reference the first structurally-equal element seen,
-    which is interchangeable by the fingerprint contract.
+    which is interchangeable by the digest contract.
     """
-    key = (fingerprint_element(element), target, tolerance, limit)
+    key = (element.digest, target, tolerance, limit)
     cached = _INSTANTIATIONS_CACHE.get(key)
     if cached is not None:
         return list(cached)

@@ -21,8 +21,10 @@ fact: int ops ~1 cycle << soft-fp ops ~10^2 << libm calls ~10^3-10^4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
+from repro.digest import content_digest
 from repro.errors import PlatformError
 from repro.platform.tally import OperationTally
 
@@ -56,6 +58,19 @@ class ProcessorSpec:
         missing = required - set(self.cycle_costs)
         if missing:
             raise PlatformError(f"cycle_costs missing entries: {sorted(missing)}")
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of the cost-model inputs, computed once.
+
+        The name, clock and full cycle/libm price tables: two specs
+        with different cost tables never share a cache line.
+        ``description`` is excluded.
+        """
+        return content_digest("ProcessorSpec", self.name, self.clock_hz,
+                              self.has_fpu, sorted(self.cycle_costs.items()),
+                              sorted(self.libm_costs.items()),
+                              self.libm_default)
 
 
 #: SA-1110 per-operation cycle costs (no FPU: fp_* are soft-float).

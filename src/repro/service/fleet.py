@@ -16,7 +16,7 @@ startup line.
 
 **Shard router.**  Each worker owns a static slice of the request key
 space via a :class:`HashRing` over worker indices, keyed on the same
-:func:`~repro.mapping.cache.stable_digest` fingerprint the
+:func:`~repro.mapping.cache.stable_digest` key the
 single-flight layer coalesces on.  A worker that accepts a request it
 does not own first *peeks* the shared cache (memory LRU, then the
 sqlite disk tier every worker shares) — warm work is served locally,
@@ -255,8 +255,8 @@ class FleetWorker(MappingService):
             # The peek never computes: this worker's LRU, then the
             # shared disk tier any worker writes through to.
             try:
-                hit, _source, _digest = await loop.run_in_executor(
-                    None, self.session.tiers.lookup, map_key, digest)
+                hit, _source = await loop.run_in_executor(
+                    None, self.session.tiers.lookup, map_key)
             except Exception:
                 hit = None
             if hit is not None:

@@ -37,7 +37,7 @@ Request lifecycle, stated once (and documented in
 2. **parse** — strict JSON validation into request dataclasses
    (:mod:`repro.api.types`); malformed input answers 400,
    unknown resources 404, nothing heavy has run yet;
-3. **fingerprint** — the request resolves to the *same* cache key a
+3. **key** — the request resolves to the *same* short cache key a
    ``session.map`` call builds, digested with
    :func:`~repro.mapping.cache.stable_digest`;
 4. **single-flight** — concurrent identical requests coalesce onto one
@@ -79,7 +79,7 @@ from repro.api import (MappingSession, MapRequest, MapResult, ParetoResult,
                        parse_json_body)
 from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
-from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
+from repro.mapping.cache import (SCHEMA_VERSION, LRUCache, fingerprint_block,
                                  fingerprint_library, stable_digest)
 from repro.mapping.decompose import _map_block_key
 from repro.mapping.pareto import BlockParetoResult
@@ -201,9 +201,9 @@ class MappingService:
                         "/v1/sweep": ("POST", self._post_sweep)}
         # Measured-accuracy responses keyed by the map digest:
         # measurement is deterministic (fixed stimulus, fixed formats),
-        # so a verified block is answered from memory for the process
-        # lifetime instead of re-running its kernels.
-        self._verify_cache: "dict[str, dict]" = {}
+        # so a verified block is answered from memory instead of
+        # re-running its kernels.
+        self._verify_cache = LRUCache(1024, name="verify", register=False)
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -584,9 +584,7 @@ class MappingService:
         response = await self.flight.run(
             digest,
             lambda: self._offload(self._verify_work, request))
-        if len(self._verify_cache) >= 1024:
-            self._verify_cache.pop(next(iter(self._verify_cache)))
-        self._verify_cache[digest] = response
+        self._verify_cache.put(digest, response)
         return response
 
     def _verify_work(self, request: MapRequest) -> dict:

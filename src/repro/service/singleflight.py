@@ -10,7 +10,7 @@ same hot mapping) produces its duplicates precisely while the first
 computation is in flight.
 
 :class:`SingleFlight` closes that gap.  Callers key their work with
-the same :func:`~repro.mapping.cache.stable_digest` fingerprints the
+the same :func:`~repro.mapping.cache.stable_digest` keys the
 cache tiers use; the first caller's computation is shared with every
 later caller that arrives before it finishes, and the result lands in
 the cache tiers exactly once.  This is the classic ``singleflight``

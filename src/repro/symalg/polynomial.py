@@ -34,6 +34,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
+from repro.digest import content_digest
 from repro.errors import SymbolicError
 from repro.symalg.monomials import (MASK, MAX_EXPONENT, SHIFT, pack, remap,
                                     remap_table, unpack)
@@ -92,7 +93,7 @@ class Polynomial:
     Fraction(5, 1)
     """
 
-    __slots__ = ("_variables", "_codes", "_hash", "_terms_cache",
+    __slots__ = ("_variables", "_codes", "_hash", "_digest", "_terms_cache",
                  "_lt_cache", "_degree_cache")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Scalar]):
@@ -138,6 +139,7 @@ class Polynomial:
             for exps, coeff in cleaned.items()
         }
         self._hash: int | None = None
+        self._digest: str | None = None
         self._terms_cache: dict[tuple[int, ...], Fraction] | None = None
         self._lt_cache: dict[TermOrder, tuple[int, ...]] | None = None
         self._degree_cache: int | None = None
@@ -181,6 +183,7 @@ class Polynomial:
         self._variables = variables
         self._codes = codes
         self._hash = None
+        self._digest = None
         self._terms_cache = None
         self._lt_cache = None
         self._degree_cache = None
@@ -733,8 +736,8 @@ class Polynomial:
     def __getstate__(self) -> tuple:
         """Pickle only the canonical core: ``(variables, codes)``.
 
-        The lazy caches (hash, decoded terms, per-order leading terms,
-        degree) are deliberately dropped — they rebuild on demand — so
+        The lazy caches (hash, digest, decoded terms, per-order leading
+        terms, degree) are deliberately dropped — they rebuild on demand — so
         pickles are small, stable across sessions, and never carry
         per-process artifacts.  This is the serialization contract the
         batch-mapping engine and the on-disk cache tier rely on.
@@ -746,6 +749,7 @@ class Polynomial:
         self._variables = tuple(variables)
         self._codes = dict(codes)
         self._hash = None
+        self._digest = None
         self._terms_cache = None
         self._lt_cache = None
         self._degree_cache = None
@@ -766,6 +770,21 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self._variables, frozenset(self._codes.items())))
         return self._hash
+
+    @property
+    def digest(self) -> str:
+        """Process-independent content digest, computed once.
+
+        Hashes the packed canonical form (variables sorted, codes
+        unique, coefficients normalized so ``str`` is canonical), so
+        structurally equal polynomials share a digest in every process
+        — the identity the mapping caches key on (:mod:`repro.digest`).
+        """
+        if self._digest is None:
+            terms = " ".join(f"{code:x}:{coeff}"
+                             for code, coeff in sorted(self._codes.items()))
+            self._digest = content_digest("Polynomial", self._variables, terms)
+        return self._digest
 
     def __bool__(self) -> bool:
         return bool(self._codes)

@@ -142,6 +142,18 @@ class TestAccuracyBudgetOption:
             main(["sweep", "--accuracy-budget", "-0.5"])
         assert ACCURACY_BUDGET_MESSAGE in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, tolerance", [
+        ("map", "-1"), ("pareto", "0"), ("verify", "nan"), ("sweep", "-0.5")])
+    def test_out_of_range_tolerance_is_a_usage_error(self, command,
+                                                     tolerance, capsys):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        argv = [command] + (["inv_mdctL"] if command != "sweep" else [])
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tolerance", tolerance])
+        assert err.value.code == 2
+        assert TOLERANCE_MESSAGE in capsys.readouterr().err
+
     def test_non_numeric_budget_is_a_float_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["map", "inv_mdctL", "--accuracy-budget", "tight"])

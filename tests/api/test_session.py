@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import MappingSession, SessionConfig
-from repro.api.types import ACCURACY_BUDGET_MESSAGE
+from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
 from repro.errors import ServiceError
 from repro.mapping import BatchItem, shared_cache_stats
 from repro.mapping.cache import SCHEMA_VERSION, stable_digest
@@ -75,6 +75,17 @@ class TestMap:
         """The same refusal the CLI and /v1/* give, not an empty result."""
         with pytest.raises(ValueError, match=ACCURACY_BUDGET_MESSAGE):
             _session().map(tiny_block(), tiny_library(), accuracy_budget=budget)
+
+    @pytest.mark.parametrize("tolerance", [-1, 0, float("nan")])
+    def test_per_call_out_of_range_tolerance_is_rejected(self, tolerance):
+        """With -1 a block silently maps to no winner, and a NaN key
+        never hits the LRU; both are refused like SessionConfig does."""
+        session = _session()
+        with pytest.raises(ValueError, match=TOLERANCE_MESSAGE):
+            session.map(tiny_block(), tiny_library(), tolerance=tolerance)
+        with pytest.raises(ValueError, match=TOLERANCE_MESSAGE):
+            session.sweep(blocks={"b": tiny_block()},
+                          libraries=[tiny_library()], tolerance=tolerance)
 
     def test_library_accepts_combo_strings(self):
         session = _session()
@@ -227,8 +238,9 @@ class TestCacheContract:
     """What cache refactors must keep: the on-disk key and the counters."""
 
     def test_map_key_digest_is_pinned(self):
-        """A store written by an earlier build must still read warm:
-        the digest of a default-knob key is fixed, as is the schema."""
+        """A store written by this build must read warm in every later
+        one: the digest of a default-knob key is fixed, as is the
+        schema.  A change to either retires every stored entry."""
         session = _session(disk_cache=False)
         key = _map_block_key(
             session.catalog.block("inv_mdctL", "mp3"),
@@ -237,9 +249,9 @@ class TestCacheContract:
             session.config.tolerance,
             session.config.accuracy_budget,
         )
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         assert stable_digest(key) == (
-            "79dffa1f0650a01d807f77fe5d0efd2ca05f8091f498e84bf9b96270e4d15888"
+            "eacf9541f1834500331dbb3748c45db18290120c8f0419aa316600fdc9dd69f9"
         )
 
     def test_stats_counter_deltas_cold_warm_disk_warm(self, tmp_path):

@@ -1,12 +1,15 @@
 """Tests for the mapping-layer memoization (repro.mapping.cache)."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.api import MappingSession, SessionConfig
+from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping import BatchItem, fingerprint_library, fingerprint_platform
-from repro.mapping.cache import (LRUCache, fingerprint_element,
-                                 fingerprint_tally)
+from repro.mapping import (BatchItem, fingerprint_block, fingerprint_library,
+                           fingerprint_platform)
+from repro.mapping.cache import LRUCache
 from repro.mapping.flow import _imdct_block
 from repro.library.builtin import full_library
 from repro.platform import Badge4, OperationTally
@@ -74,19 +77,32 @@ class TestLRUCache:
             LRUCache(maxsize=0)
 
 
+def _element(**overrides):
+    fields = dict(name="sq", library="IH",
+                  polynomials=(Polynomial.variable("in0") ** 2,),
+                  input_format="q", output_format="q", accuracy=1e-9,
+                  cost=OperationTally(int_mul=1))
+    fields.update(overrides)
+    return LibraryElement(**fields)
+
+
+def _with_libm(name, count):
+    tally = OperationTally(int_mul=1)
+    tally.libm(name, count)
+    return tally
+
+
 class TestFingerprints:
     def test_tally_fingerprint_covers_libm(self):
-        a = OperationTally(int_mul=1)
-        b = OperationTally(int_mul=1)
-        b.libm("pow", 3)
-        assert fingerprint_tally(a) != fingerprint_tally(b)
-        assert fingerprint_tally(a) == fingerprint_tally(OperationTally(int_mul=1))
+        assert _element(cost=_with_libm("pow", 3)).digest != _element().digest
+        assert _element(cost=OperationTally(int_mul=1)).digest == \
+            _element().digest
 
     def test_element_fingerprint_sees_cost_changes(self):
         lib_a = _demo_library(cost_mul=1)
         lib_b = _demo_library(cost_mul=7)
         def fp(lib):
-            return fingerprint_element(next(iter(lib)))
+            return next(iter(lib)).digest
         assert fp(lib_a) != fp(lib_b)
 
     def test_library_fingerprint_is_order_independent(self):
@@ -102,6 +118,55 @@ class TestFingerprints:
 
     def test_platform_fingerprint_stable_across_instances(self):
         assert fingerprint_platform(Badge4()) == fingerprint_platform(Badge4())
+
+    @pytest.mark.parametrize("overrides", [
+        {"polynomials": (2 * Polynomial.variable("in0") ** 2,)},
+        {"polynomials": (Polynomial.variable("in0") ** 2 + 1,)},
+        {"accuracy": 1e-3},
+        {"cost": OperationTally(int_mul=2)},
+        {"cost": OperationTally(int_mul=1, load=1)},
+        {"cost": _with_libm("cos", 1)},
+        {"cost": _with_libm("pow", 2)},
+        {"name": "sq_other"},
+        {"library": "LM"},
+    ], ids=["coefficient", "term", "accuracy", "tally-count",
+            "tally-field", "libm-call", "libm-count", "name", "library"])
+    def test_element_digest_covers_each_mapped_field(self, overrides):
+        assert _element(**overrides).digest != _element().digest
+
+    def test_element_digest_ignores_kernel_and_description(self):
+        assert _element(kernel=lambda v: v * v,
+                        description="squares").digest == _element().digest
+
+    def test_library_digest_changes_after_add(self):
+        library = Library("x", [_element(name="a")])
+        before = library.digest
+        library.add(_element(name="b"))
+        assert library.digest != before
+        assert library.digest == Library(
+            "y", [_element(name="b"), _element(name="a")]).digest
+
+    def test_equal_polynomials_share_a_digest(self):
+        assert (x * Fraction(4, 2)).digest == (2 * x).digest
+        assert ((x + y) - y).digest == x.digest        # pruned frame
+        assert (x / 2).digest != (x * 2).digest
+
+    def test_digests_are_short_hex_and_cached(self):
+        element = _element()
+        assert len(element.digest) == 64
+        assert element.digest is element.digest
+
+    def test_block_digest_covers_outputs_and_frame_only(self):
+        def block(outputs, frame=("x", "y"), **extra):
+            return TargetBlock(name="b", outputs=outputs,
+                               input_variables=frame, **extra)
+        base = block({"out": x * y})
+        assert fingerprint_block(base) == fingerprint_block(block({"out": x * y}))
+        assert fingerprint_block(base) != fingerprint_block(block({"out": x * y + 1}))
+        assert fingerprint_block(base) != \
+            fingerprint_block(block({"out": x * y}, ("x", "y", "z")))
+        assert fingerprint_block(base) == fingerprint_block(
+            block({"out": x * y}, expressions={"out": None}))
 
 
 class TestDecomposeMemoization:

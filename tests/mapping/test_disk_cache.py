@@ -18,7 +18,9 @@ import repro.mapping.cache as cache_mod
 from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping.cache import DiskCache, stable_digest
+from repro.mapping.cache import (DiskCache, fingerprint_block,
+                                 fingerprint_library, fingerprint_platform,
+                                 stable_digest)
 from repro.platform import Badge4, OperationTally, ProcessorSpec
 from repro.symalg import Polynomial, symbols
 
@@ -27,6 +29,7 @@ PLATFORM = Badge4()
 TARGET = x + x ** 3 * y ** 2 - 2 * x * y ** 3
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+_REPO_DIR = str(Path(__file__).resolve().parents[2])
 
 
 from .conftest import demo_mapping_library as _demo_library
@@ -54,16 +57,31 @@ class TestStableDigest:
         assert stable_digest((1.0,)) != stable_digest((1,))
 
     def test_stable_across_processes(self, tmp_path):
-        """Python hash() is seed-randomized; the digest must not be."""
+        """Python hash() is seed-randomized; the digests must not be."""
         script = (
             "from repro.symalg import symbols\n"
-            "from repro.mapping.cache import stable_digest\n"
+            "from repro.mapping.cache import (fingerprint_block,\n"
+            "    fingerprint_library, fingerprint_platform, stable_digest)\n"
+            "from repro.frontend.extract import TargetBlock\n"
+            "from repro.platform import Badge4\n"
+            "from tests.mapping.conftest import demo_mapping_library\n"
             "x, y = symbols('x y')\n"
-            "print(stable_digest((x + x**3*y**2 - 2*x*y**3, 1e-9)))\n")
-        env = {**os.environ, "PYTHONPATH": _SRC_DIR, "PYTHONHASHSEED": "99"}
+            "a, b, c = symbols('a b c')\n"
+            "print(stable_digest((x + x**3*y**2 - 2*x*y**3, 1e-9)))\n"
+            "print(fingerprint_block(TargetBlock(name='mini',\n"
+            "    outputs={'out': a * b + c}, input_variables=('a', 'b', 'c'))))\n"
+            "print(fingerprint_library(demo_mapping_library()))\n"
+            "print(fingerprint_platform(Badge4()))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC_DIR, _REPO_DIR]),
+               "PYTHONHASHSEED": "99"}
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == stable_digest((TARGET, 1e-9))
+        assert out.stdout.split() == [
+            stable_digest((TARGET, 1e-9)),
+            fingerprint_block(_mac_block()),
+            fingerprint_library(_demo_library()),
+            fingerprint_platform(PLATFORM),
+        ]
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):

@@ -99,6 +99,34 @@ class TestAccuracyBudgetValidation:
             {"block": "b", "accuracy_budget": 0}).accuracy_budget == 0.0
 
 
+class TestToleranceValidation:
+    """Zero, negative and NaN tolerances are a 400 on every request
+    type (``/v1/map``, ``/v1/pareto`` and ``/v1/verify`` parse a
+    MapRequest, ``/v1/sweep`` a SweepRequest) with the shared message."""
+
+    @pytest.mark.parametrize("tolerance", [-1, 0, math.nan])
+    def test_map_request_rejects(self, tolerance):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(ServiceError) as err:
+            MapRequest.from_payload({"block": "b", "tolerance": tolerance})
+        assert err.value.status == 400
+        assert str(err.value) == TOLERANCE_MESSAGE
+
+    @pytest.mark.parametrize("tolerance", [-1, 0, math.nan])
+    def test_sweep_request_rejects(self, tolerance):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(ServiceError) as err:
+            SweepRequest.from_payload({"tolerance": tolerance})
+        assert err.value.status == 400
+        assert str(err.value) == TOLERANCE_MESSAGE
+
+    def test_positive_tolerance_is_valid(self):
+        assert MapRequest.from_payload(
+            {"block": "b", "tolerance": 1e-3}).tolerance == 1e-3
+
+
 class TestSweepRequest:
     def test_defaults_mean_everything(self):
         request = SweepRequest.from_payload({})

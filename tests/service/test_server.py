@@ -120,6 +120,17 @@ class TestRoundTrips:
         assert status == 400
         assert ACCURACY_BUDGET_MESSAGE in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("path", ["/v1/map", "/v1/pareto", "/v1/verify"])
+    def test_nan_tolerance_is_400(self, live_service, path):
+        """``json.loads`` accepts the NaN literal; the service must not."""
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        service, _client = live_service
+        status, body = _raw_post(
+            service, path, b'{"block": "inv_mdctL", "tolerance": NaN}')
+        assert status == 400
+        assert TOLERANCE_MESSAGE in json.loads(body)["error"]
+
     def test_sweep_is_the_canonical_sweep_json(self, live_service):
         service, client = live_service
         status, body = client.request_bytes(

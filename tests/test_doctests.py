@@ -11,6 +11,7 @@ import importlib
 import pytest
 
 MODULES = [
+    "repro.digest",
     "repro.symalg.polynomial",
     "repro.symalg.monomials",
     "repro.symalg.ordering",
